@@ -12,14 +12,21 @@ GO ?= go
 # hazard — the lossy coverage runs on the virtual harness).
 RACE_PKGS = ./internal/bitmap/ ./internal/gf256/ ./internal/ec/ \
 	./internal/clock/ ./internal/fabric/ ./internal/core/ ./internal/reliability/ \
-	./internal/netem/ ./internal/simnet/ ./internal/session/ ./internal/chaos/
+	./internal/netem/ ./internal/simnet/ ./internal/session/ ./internal/chaos/ \
+	./internal/nicsim/ ./internal/telemetry/ ./internal/stats/ ./internal/dpa/ ./cmd/sdr-perftest/
 
-.PHONY: ci vet build test race bench bench-kernels bench-json bench-par smoke-flows smoke-adaptive smoke-perftest smoke-trace smoke-chaos
+.PHONY: ci vet vet-arm64 build test race bench bench-kernels bench-json bench-par smoke-flows smoke-adaptive smoke-perftest smoke-trace smoke-chaos
 
-ci: vet build race test smoke-perftest smoke-trace smoke-chaos
+ci: vet vet-arm64 build race test smoke-perftest smoke-trace smoke-chaos
 
+# On amd64, vet's asmdecl pass checks the gf256 assembly against its Go
+# declarations. The arm64 pass keeps the pure-Go fallback that every
+# other architecture runs compiling and vetted.
 vet:
 	$(GO) vet ./...
+
+vet-arm64:
+	GOARCH=arm64 $(GO) vet ./internal/gf256/ ./internal/ec/ && GOARCH=arm64 $(GO) build ./...
 
 build:
 	$(GO) build ./...
@@ -34,10 +41,11 @@ race:
 test:
 	$(GO) test ./...
 
-# Kernel micro-benchmarks: gf256 word kernels, EC serial-vs-parallel
-# encode, bitmap polling — the hot paths tracked by the bench trajectory.
+# Kernel micro-benchmarks: gf256 kernels and the fused dot product, EC
+# serial-vs-parallel encode, bitmap polling — the hot paths tracked by
+# the bench trajectory.
 bench-kernels:
-	$(GO) test -run xxx -bench 'BenchmarkXORSlice|BenchmarkMulAddSlice' ./internal/gf256/
+	$(GO) test -run xxx -bench 'BenchmarkXORSlice|BenchmarkMulAddSlice|BenchmarkDot' ./internal/gf256/
 	$(GO) test -run xxx -bench 'Encode|Reconstruct' ./internal/ec/
 	$(GO) test -run xxx -bench 'BenchmarkBitmap|BenchmarkFirstZero|BenchmarkMarkPacket' ./internal/bitmap/
 

@@ -1,9 +1,13 @@
 package chaos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"sdrrdma/internal/clock"
+	"sdrrdma/internal/netem"
 )
 
 // The smoke seed is pinned: `make smoke-chaos` and CI run exactly this
@@ -230,6 +234,63 @@ func BenchmarkChaosScenario(b *testing.B) {
 		o := RunProgram(Generate(smokeSeed, i%50))
 		if len(o.Violations) != 0 {
 			b.Fatalf("scenario %d: %v", i%50, o.Violations)
+		}
+	}
+}
+
+// TestControlRingNeverRNRDrops checks that the control planes' fixed
+// receive rings never run dry: after lossy SR, SR-NACK, EC and
+// adaptive transfers, and under programs duplicating every control
+// packet of both sides, neither side's control UD QP has dropped a
+// datagram for want of a posted buffer.
+func TestControlRingNeverRNRDrops(t *testing.T) {
+	dupBoth := []Fault{
+		{Kind: FaultCtrlDup, Edge: 0, Dur: Horizon, Pct: 100},
+		{Kind: FaultCtrlDup, Edge: 1, Dur: Horizon, Pct: 100},
+	}
+	for _, tc := range []struct {
+		scheme string
+		drop   float64
+		faults []Fault
+	}{
+		{SchemeSR, 0.02, nil},
+		{SchemeSRNACK, 0.02, nil},
+		{SchemeEC, 0.02, nil},
+		{SchemeAdaptive, 0.02, nil},
+		{SchemeSRNACK, 0.01, dupBoth},
+		{SchemeEC, 0.01, dupBoth},
+	} {
+		p := Program{Seed: 1, Scheme: tc.scheme, Size: 512 << 10, Faults: tc.faults}
+		name := fmt.Sprintf("%s drop=%g", p, tc.drop)
+		clk := clock.NewVirtual()
+		topo, src, dst, err := diamond(clk, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range topo.Edges() {
+			if err := e.SetLoss(netem.LossSpec{P: tc.drop}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sched, eps := compile(p)
+		flow, err := topo.NewFlow(src, dst, chaosCoreCfg(), chaosRelCfg(tc.scheme))
+		if err != nil {
+			t.Fatal(err)
+		}
+		installEndpointFaults(clk, flow, p, eps)
+		if _, err := sched.Apply(topo); err != nil {
+			t.Fatal(err)
+		}
+		res := transfer(clk, flow, tc.scheme, p.Size, 1)
+		if res.sendErr != nil || res.recvErr != nil || !res.bytesOK {
+			t.Fatalf("%s: send %v, recv %v, bytes ok %v", name, res.sendErr, res.recvErr, res.bytesOK)
+		}
+		if a, b := flow.A.CP.RNRDrops(), flow.B.CP.RNRDrops(); a != 0 || b != 0 {
+			t.Fatalf("%s: control RNR drops A=%d B=%d, want 0", name, a, b)
+		}
+		flow.Close()
+		if err := topo.ClosePools(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -52,15 +52,15 @@ func checkShardGeometry(data, parity [][]byte, k, m int) (int, error) {
 		return 0, fmt.Errorf("ec: got %d data + %d parity shards, want %d + %d",
 			len(data), len(parity), k, m)
 	}
-	size := -1
-	for _, s := range append(append([][]byte{}, data...), parity...) {
-		if size == -1 {
-			size = len(s)
-		} else if len(s) != size {
-			return 0, fmt.Errorf("ec: shard size mismatch: %d vs %d", len(s), size)
+	size := len(data[0])
+	for _, shards := range [2][][]byte{data, parity} {
+		for _, s := range shards {
+			if len(s) != size {
+				return 0, fmt.Errorf("ec: shard size mismatch: %d vs %d", len(s), size)
+			}
 		}
 	}
-	if size <= 0 {
+	if size == 0 {
 		return 0, errors.New("ec: empty shards")
 	}
 	return size, nil
@@ -88,16 +88,18 @@ func (c *XORCode) M() int       { return c.m }
 func (c *XORCode) Name() string { return "xor" }
 
 // Encode computes parity[i] = XOR of data[j] for j mod m == i. Above
-// the parallel threshold the m parity rows and their byte ranges are
-// sharded across the package worker pool; the output is identical to
-// the serial path.
+// the parallel threshold the byte range is sharded across the package
+// worker pool, each unit computing every parity row; the output is
+// identical to the serial path.
 func (c *XORCode) Encode(data, parity [][]byte) error {
 	size, err := checkShardGeometry(data, parity, c.k, c.m)
 	if err != nil {
 		return err
 	}
-	forEachRowRange(seqRows(c.m), size, func(i, lo, hi int) {
-		c.encodeRow(data, parity, i, lo, hi)
+	forEachRange(size, func(lo, hi int) {
+		for i := 0; i < c.m; i++ {
+			c.encodeRow(data, parity, i, lo, hi)
+		}
 	})
 	return nil
 }
@@ -142,8 +144,8 @@ func (c *XORCode) CanRecover(present []bool) bool {
 }
 
 // Reconstruct repairs at most one missing data block per modulo group.
-// Groups (and byte ranges within them) decode independently, so large
-// shards are repaired across the worker pool.
+// Byte ranges decode independently, so large shards are repaired
+// across the worker pool, each unit covering every damaged group.
 func (c *XORCode) Reconstruct(shards [][]byte, present []bool) error {
 	if len(shards) != c.k+c.m || len(present) != c.k+c.m {
 		return fmt.Errorf("ec: XOR Reconstruct wants %d shards", c.k+c.m)
@@ -164,8 +166,10 @@ func (c *XORCode) Reconstruct(shards [][]byte, present []bool) error {
 		return nil // no data loss (maybe only parity lost)
 	}
 	size := len(shards[repairs[0]])
-	forEachRowRange(repairs, size, func(missing, lo, hi int) {
-		c.repairBlock(shards, missing, lo, hi)
+	forEachRange(size, func(lo, hi int) {
+		for _, missing := range repairs {
+			c.repairBlock(shards, missing, lo, hi)
+		}
 	})
 	for _, missing := range repairs {
 		present[missing] = true
@@ -195,6 +199,9 @@ type RSCode struct {
 	// enc is the (k+m)×k systematic encoding matrix: identity on top,
 	// parity rows below.
 	enc *gf256.Matrix
+	// parity holds enc's m parity rows prepared for gf256's fused dot
+	// product; nil when m == 0.
+	parity *gf256.DotTables
 }
 
 // NewRS builds an RS(k, m) code. k+m must not exceed 256 (field size).
@@ -207,36 +214,32 @@ func NewRS(k, m int) (*RSCode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ec: building systematic matrix: %w", err)
 	}
-	return &RSCode{k: k, m: m, enc: v.Mul(topInv)}, nil
+	c := &RSCode{k: k, m: m, enc: v.Mul(topInv)}
+	if m > 0 {
+		c.parity = gf256.NewDotTables(c.enc.SubMatrix(k, k+m, 0, k))
+	}
+	return c, nil
 }
 
 func (c *RSCode) K() int       { return c.k }
 func (c *RSCode) M() int       { return c.m }
 func (c *RSCode) Name() string { return "mds" }
 
-// Encode computes the m parity shards. Above the parallel threshold
-// the m parity rows and their byte ranges are sharded across the
-// package worker pool; the output is identical to the serial path.
+// Encode computes the m parity shards as one fused dot product of the
+// parity rows with the data shards. Above the parallel threshold the
+// byte range is sharded across the package worker pool, each unit
+// computing every parity row; the output is identical to the serial
+// path.
 func (c *RSCode) Encode(data, parity [][]byte) error {
 	size, err := checkShardGeometry(data, parity, c.k, c.m)
 	if err != nil {
 		return err
 	}
-	forEachRowRange(seqRows(c.m), size, func(i, lo, hi int) {
-		c.encodeRow(data, parity, i, lo, hi)
-	})
-	return nil
-}
-
-// encodeRow computes bytes [lo,hi) of parity row i as the GF(2^8) dot
-// product of the encoding row with the data columns.
-func (c *RSCode) encodeRow(data, parity [][]byte, i, lo, hi int) {
-	row := c.enc.Row(c.k + i)
-	p := parity[i][lo:hi]
-	gf256.MulSlice(row[0], p, data[0][lo:hi])
-	for j := 1; j < c.k; j++ {
-		gf256.MulAddSlice(row[j], p, data[j][lo:hi])
+	if c.m == 0 {
+		return nil
 	}
+	forEachRange(size, func(lo, hi int) { c.parity.Dot(parity, data, lo, hi) })
+	return nil
 }
 
 // CanRecover reports true iff at least k of the k+m shards are present.
@@ -253,7 +256,9 @@ func (c *RSCode) CanRecover(present []bool) bool {
 	return n >= c.k
 }
 
-// Reconstruct recovers missing data shards from any k present shards.
+// Reconstruct recovers missing data shards from any k present shards:
+// the missing shards are one fused dot product of the matching rows of
+// the inverted decode matrix with the k surviving shards.
 func (c *RSCode) Reconstruct(shards [][]byte, present []bool) error {
 	if len(shards) != c.k+c.m || len(present) != c.k+c.m {
 		return fmt.Errorf("ec: RS Reconstruct wants %d shards", c.k+c.m)
@@ -261,26 +266,29 @@ func (c *RSCode) Reconstruct(shards [][]byte, present []bool) error {
 	if !c.CanRecover(present) {
 		return ErrUnrecoverable
 	}
-	anyMissingData := false
+	var missing []int
 	for j := 0; j < c.k; j++ {
 		if !present[j] {
-			anyMissingData = true
-			break
+			missing = append(missing, j)
 		}
 	}
-	if !anyMissingData {
+	if len(missing) == 0 {
 		return nil
+	}
+	size := len(shards[0])
+	for _, s := range shards {
+		if len(s) != size {
+			return fmt.Errorf("ec: shard size mismatch: %d vs %d", len(s), size)
+		}
 	}
 	// Collect k present shards and the matching rows of the encoding
 	// matrix; invert to obtain the decode matrix.
 	sub := gf256.NewMatrix(c.k, c.k)
 	avail := make([][]byte, 0, c.k)
-	got := 0
-	for r := 0; r < c.k+c.m && got < c.k; r++ {
+	for r := 0; r < c.k+c.m && len(avail) < c.k; r++ {
 		if present[r] {
-			copy(sub.Row(got), c.enc.Row(r))
+			copy(sub.Row(len(avail)), c.enc.Row(r))
 			avail = append(avail, shards[r])
-			got++
 		}
 	}
 	dec, err := sub.Invert()
@@ -288,30 +296,18 @@ func (c *RSCode) Reconstruct(shards [][]byte, present []bool) error {
 		// Cannot happen for an MDS matrix; report rather than panic.
 		return fmt.Errorf("ec: decode matrix singular: %w", err)
 	}
-	var missing []int
-	for j := 0; j < c.k; j++ {
-		if !present[j] {
-			missing = append(missing, j)
-		}
+	rows := gf256.NewMatrix(len(missing), c.k)
+	out := make([][]byte, len(missing))
+	for i, j := range missing {
+		copy(rows.Row(i), dec.Row(j))
+		out[i] = shards[j]
 	}
-	size := len(shards[missing[0]])
-	forEachRowRange(missing, size, func(j, lo, hi int) {
-		decodeShard(dec.Row(j), shards[j], avail, lo, hi)
-	})
+	tables := gf256.NewDotTables(rows)
+	forEachRange(size, func(lo, hi int) { tables.Dot(out, avail, lo, hi) })
 	for _, j := range missing {
 		present[j] = true
 	}
 	return nil
-}
-
-// decodeShard recomputes bytes [lo,hi) of a lost data shard as the dot
-// product of its decode-matrix row with the k surviving shards.
-func decodeShard(row []byte, out []byte, avail [][]byte, lo, hi int) {
-	o := out[lo:hi]
-	gf256.MulSlice(row[0], o, avail[0][lo:hi])
-	for i := 1; i < len(avail); i++ {
-		gf256.MulAddSlice(row[i], o, avail[i][lo:hi])
-	}
 }
 
 // --- Appendix B success probabilities ------------------------------------

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"sdrrdma/internal/gf256"
 )
 
 func makeShards(rng *rand.Rand, n, size int) [][]byte {
@@ -303,13 +305,105 @@ func withParallelism(n int, fn func()) {
 	fn()
 }
 
+// refDot returns rows·in computed one byte at a time through each
+// coefficient's product table: the pure-Go reference for the fused
+// dot product behind Encode and Reconstruct.
+func refDot(rows, in [][]byte) [][]byte {
+	out := make([][]byte, len(rows))
+	for r, row := range rows {
+		o := make([]byte, len(in[0]))
+		for j, c := range row {
+			var tbl [256]byte
+			for x := range tbl {
+				tbl[x] = gf256.Mul(c, byte(x))
+			}
+			for b, x := range in[j] {
+				o[b] ^= tbl[x]
+			}
+		}
+		out[r] = o
+	}
+	return out
+}
+
+// refEncode is the reference encode of either code: the parity rows
+// of its encoding matrix (for XOR, ones on each modulo group) applied
+// with refDot.
+func refEncode(c Code, data [][]byte) [][]byte {
+	k, m := c.K(), c.M()
+	rows := make([][]byte, m)
+	for i := range rows {
+		rows[i] = make([]byte, k)
+		switch c := c.(type) {
+		case *RSCode:
+			copy(rows[i], c.enc.Row(k+i))
+		case *XORCode:
+			for j := i; j < k; j += m {
+				rows[i][j] = 1
+			}
+		}
+	}
+	return refDot(rows, data)
+}
+
+// refDecode is the reference decode of either code: it returns the k
+// data shards, rebuilding the lost ones from the present shards with
+// refDot. RS inverts the encoding rows of the first k present shards;
+// XOR rebuilds a lost block from its group's parity and surviving
+// blocks.
+func refDecode(c Code, shards [][]byte, present []bool) [][]byte {
+	k, m := c.K(), c.M()
+	var missing []int
+	for j := 0; j < k; j++ {
+		if !present[j] {
+			missing = append(missing, j)
+		}
+	}
+	rows := make([][]byte, len(missing))
+	in := shards
+	switch c := c.(type) {
+	case *RSCode:
+		sub := gf256.NewMatrix(k, k)
+		in = nil
+		for r := 0; len(in) < k; r++ {
+			if present[r] {
+				copy(sub.Row(len(in)), c.enc.Row(r))
+				in = append(in, shards[r])
+			}
+		}
+		dec, err := sub.Invert()
+		if err != nil {
+			panic(err)
+		}
+		for i, j := range missing {
+			rows[i] = dec.Row(j)
+		}
+	case *XORCode:
+		for i, j := range missing {
+			rows[i] = make([]byte, k+m)
+			rows[i][k+j%m] = 1
+			for o := j % m; o < k; o += m {
+				if o != j {
+					rows[i][o] = 1
+				}
+			}
+		}
+	}
+	out := append([][]byte(nil), shards[:k]...)
+	for i, rebuilt := range refDot(rows, in) {
+		out[missing[i]] = rebuilt
+	}
+	return out
+}
+
 // TestParallelEncodeMatchesSerial locks in the acceptance criterion
 // that the sharded encoder produces byte-identical parity to the
 // serial path, for both codes, at sizes above the parallel threshold
-// (including a non-segment-aligned one).
+// (including a non-segment-aligned one). Both go through the fused
+// kernel, so both are also checked against the pure-Go reference.
 func TestParallelEncodeMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, c := range []Code{mustRS(32, 8), mustXOR(32, 8), mustRS(8, 4), mustXOR(8, 2)} {
+	for _, c := range []Code{mustRS(32, 8), mustXOR(32, 8), mustRS(8, 4), mustXOR(8, 2), mustRS(5, 3)} {
 		for _, size := range []int{64 << 10, 64<<10 + 24, 192 << 10} {
 			data := makeShards(rng, c.K(), size)
 			serial := makeShards(rng, c.M(), size)
@@ -324,10 +418,15 @@ func TestParallelEncodeMatchesSerial(t *testing.T) {
 					t.Fatalf("%s parallel encode: %v", c.Name(), err)
 				}
 			})
+			want := refEncode(c, data)
 			for i := range serial {
 				if !bytes.Equal(serial[i], parallel[i]) {
 					t.Fatalf("%s size=%d: parity row %d differs between serial and parallel encode",
 						c.Name(), size, i)
+				}
+				if !bytes.Equal(serial[i], want[i]) {
+					t.Fatalf("%s(%d,%d) size=%d: parity row %d differs from the reference encode",
+						c.Name(), c.K(), c.M(), size, i)
 				}
 			}
 		}
@@ -336,7 +435,8 @@ func TestParallelEncodeMatchesSerial(t *testing.T) {
 
 // TestParallelReconstructMatchesSerial does the same for the decoder:
 // repair the same loss pattern on serial and sharded paths and compare
-// every recovered byte.
+// every recovered byte with each other, with the pure-Go reference
+// decode and with the original data.
 func TestParallelReconstructMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	const size = 96<<10 + 8
@@ -345,18 +445,15 @@ func TestParallelReconstructMatchesSerial(t *testing.T) {
 		lose []int
 	}{
 		{mustRS(32, 8), []int{0, 5, 17, 31, 33}},
+		{mustRS(32, 8), []int{1, 2, 3, 4, 5, 6, 7, 8}},
+		{mustRS(32, 8), []int{9, 10, 11, 39}},
 		{mustXOR(32, 8), []int{3, 12, 21, 38}},
 	} {
 		c := tc.code
 		k, m := c.K(), c.M()
 		data := makeShards(rng, k, size)
-		parity := makeShards(rng, m, size)
-		withParallelism(1, func() {
-			if err := c.Encode(data, parity); err != nil {
-				t.Fatal(err)
-			}
-		})
-		run := func(workers int) [][]byte {
+		parity := refEncode(c, data)
+		run := func(workers int) ([][]byte, [][]byte) {
 			shards := make([][]byte, k+m)
 			present := make([]bool, k+m)
 			for i := range shards {
@@ -375,21 +472,25 @@ func TestParallelReconstructMatchesSerial(t *testing.T) {
 					shards[l][b] = 0xEE
 				}
 			}
+			ref := refDecode(c, shards, present)
 			withParallelism(workers, func() {
 				if err := c.Reconstruct(shards, present); err != nil {
 					t.Fatalf("%s workers=%d: %v", c.Name(), workers, err)
 				}
 			})
-			return shards
+			return shards, ref
 		}
-		serial := run(1)
-		parallel := run(8)
+		serial, ref := run(1)
+		parallel, _ := run(8)
 		for i := range serial {
 			if !bytes.Equal(serial[i], parallel[i]) {
 				t.Fatalf("%s: shard %d differs between serial and parallel reconstruct", c.Name(), i)
 			}
 		}
 		for i := 0; i < k; i++ {
+			if !bytes.Equal(serial[i], ref[i]) {
+				t.Fatalf("%s lose=%v: shard %d differs from the reference decode", c.Name(), tc.lose, i)
+			}
 			if !bytes.Equal(serial[i], data[i]) {
 				t.Fatalf("%s: shard %d not recovered correctly", c.Name(), i)
 			}

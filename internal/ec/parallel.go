@@ -1,9 +1,10 @@
 // Worker-pool parallelism for the EC hot kernels. The paper hides
 // encoding behind injection by spreading the XOR/RS kernels over spare
 // cores (§5.1.1, Fig 11); here a process-wide pool of GOMAXPROCS
-// workers shards parity rows × byte ranges of a submessage. Small
-// submessages stay on the caller's goroutine — the crossover where
-// handoff overhead is paid back is parallelMinShardBytes per shard.
+// workers shards the byte range of a submessage; each unit computes
+// every output row of its range. Small submessages stay on the
+// caller's goroutine — the crossover where handoff overhead is paid
+// back is parallelMinShardBytes per shard.
 
 package ec
 
@@ -67,8 +68,8 @@ func parallelism() int {
 	return poolWorkers
 }
 
-// useParallel reports whether a (shardBytes × rows) unit of kernel work
-// is worth sharding across the pool.
+// useParallel reports whether shards of shardBytes are worth sharding
+// across the pool.
 func useParallel(shardBytes int) bool {
 	return shardBytes >= parallelMinShardBytes && parallelism() > 1
 }
@@ -117,44 +118,22 @@ func byteSegments(size, nseg int) [][2]int {
 	return out
 }
 
-// segmentsFor picks the byte segmentation so that rows × segments
-// gives every worker a unit while keeping units above the minimum
-// profitable size.
-func segmentsFor(size, rows int) [][2]int {
-	nseg := (parallelism() + rows - 1) / rows
-	if maxSeg := size / parallelMinShardBytes; nseg > maxSeg {
-		nseg = maxSeg
-	}
-	return byteSegments(size, nseg)
-}
-
-// forEachRowRange runs fn over every (row, byte-range) combination:
-// sharded across the worker pool when the shard size makes it
-// profitable, serial whole-row calls otherwise. This is the single
-// dispatch point for both codes' Encode and Reconstruct.
-func forEachRowRange(rows []int, size int, fn func(row, lo, hi int)) {
+// forEachRange runs fn over [0,size): sharded into cache-line-aligned
+// byte ranges across the worker pool when the shard size makes it
+// profitable, one serial call otherwise. Ranges are at least
+// parallelMinShardBytes wide, and there are at most as many as
+// workers. This is the single dispatch point for both codes' Encode
+// and Reconstruct.
+func forEachRange(size int, fn func(lo, hi int)) {
 	if !useParallel(size) {
-		for _, r := range rows {
-			fn(r, 0, size)
-		}
+		fn(0, size)
 		return
 	}
-	segs := segmentsFor(size, len(rows))
-	units := make([]func(), 0, len(rows)*len(segs))
-	for _, r := range rows {
-		for _, s := range segs {
-			r, lo, hi := r, s[0], s[1]
-			units = append(units, func() { fn(r, lo, hi) })
-		}
+	segs := byteSegments(size, min(parallelism(), size/parallelMinShardBytes))
+	units := make([]func(), len(segs))
+	for i, s := range segs {
+		lo, hi := s[0], s[1]
+		units[i] = func() { fn(lo, hi) }
 	}
 	runUnits(units)
-}
-
-// seqRows returns [0, n) — the parity-row index set for Encode.
-func seqRows(n int) []int {
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
-	return rows
 }

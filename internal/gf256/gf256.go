@@ -64,6 +64,7 @@ func Inv(a byte) byte {
 func Exp(n int) byte { return expTable[n%255] }
 
 // MulSlice sets dst[i] = c·src[i]. dst and src must have equal length.
+// Like MulAddSlice it runs the AVX2 kernel where the CPU has one.
 func MulSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf256: MulSlice length mismatch")
@@ -78,10 +79,16 @@ func MulSlice(c byte, dst, src []byte) {
 		copy(dst, src)
 		return
 	}
+	n := mulSliceSIMD(c, dst, src)
+	mulSliceGo(c, dst[n:], src[n:])
+}
+
+// mulSliceGo is MulSlice's pure-Go word kernel: the same
+// word-assembled lookup as mulAddSliceGo, minus the dst read.
+func mulSliceGo(c byte, dst, src []byte) {
 	mt := mulTableRow(c)
 	n := len(src)
 	i := 0
-	// Same word-assembled lookup as MulAddSlice, minus the dst read.
 	for ; i+8 <= n; i += 8 {
 		w := binary.NativeEndian.Uint64(src[i:])
 		p := uint64(mt[byte(w)]) |
@@ -101,19 +108,12 @@ func MulSlice(c byte, dst, src []byte) {
 
 // MulAddSlice sets dst[i] ^= c·src[i], the core kernel of RS encoding.
 //
-// The word path loads 8 source bytes as one uint64 (encoding/binary
-// view), looks each byte up in the constant's 256-entry product row,
-// assembles the 8 products into a word, and folds it into dst with a
-// single 64-bit read-modify-write — one memory round trip per 8 bytes
-// instead of 8 byte-sized ones.
-//
-// Two word-parallel alternatives were benchmarked and rejected: the
-// split low/high-nibble table kernel (product = lo[x&0xF]^hi[x>>4],
-// the scalar analogue of the PSHUFB trick ISA-L uses) needs 16 lookups
-// per word and lands at ~0.6x of this kernel, and the bit-plane SWAR
-// multiply (kept as a tested reference in gf256_test.go) at ~0.95x —
-// without SIMD byte shuffles, the full-row lookup is the fastest pure
-// Go form.
+// On amd64 CPUs with AVX2 (detected once at start-up from CPUID and
+// XGETBV) it runs the split-nibble kernel ISA-L uses: c·x =
+// lo[x&0xF] ⊕ hi[x>>4], two 16-entry tables that VPSHUFB looks up for
+// 32 bytes at once, over the longest multiple of 32 bytes. The pure-Go
+// word kernel (mulAddSliceGo) finishes the tail, and it runs the whole
+// slice on other CPUs and architectures. Both give the same bytes.
 func MulAddSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf256: MulAddSlice length mismatch")
@@ -125,6 +125,23 @@ func MulAddSlice(c byte, dst, src []byte) {
 		XORSlice(dst, src)
 		return
 	}
+	n := mulAddSliceSIMD(c, dst, src)
+	mulAddSliceGo(c, dst[n:], src[n:])
+}
+
+// mulAddSliceGo is MulAddSlice's pure-Go word kernel. It loads 8
+// source bytes as one uint64 (encoding/binary view), looks each byte
+// up in the constant's 256-entry product row, assembles the 8 products
+// into a word, and folds it into dst with a single 64-bit
+// read-modify-write — one memory round trip per 8 bytes instead of 8
+// byte-sized ones.
+//
+// Two word-parallel alternatives were benchmarked and rejected: the
+// split low/high-nibble table kernel needs 16 scalar lookups per word
+// and lands at ~0.6x of this kernel, and the bit-plane SWAR multiply
+// (kept as a tested reference in gf256_test.go) at ~0.95x. Without
+// SIMD byte shuffles, the full-row lookup is the fastest pure-Go form.
+func mulAddSliceGo(c byte, dst, src []byte) {
 	mt := mulTableRow(c)
 	n := len(src)
 	i := 0
@@ -154,14 +171,21 @@ func mulAddSliceTable(c byte, dst, src []byte) {
 	}
 }
 
-// XORSlice sets dst[i] ^= src[i] using word-wide operations — the
-// paper's "≈100 lines of C++ with AVX-512" XOR kernel equivalent.
-// It XORs four uint64 words (32 bytes) per iteration via
-// encoding/binary views instead of byte-at-a-time.
+// XORSlice sets dst[i] ^= src[i] — the paper's "≈100 lines of C++
+// with AVX-512" XOR kernel equivalent. It runs an AVX2 kernel where
+// the CPU has one and the pure-Go word kernel otherwise.
 func XORSlice(dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf256: XORSlice length mismatch")
 	}
+	n := xorSliceSIMD(dst, src)
+	xorSliceGo(dst[n:], src[n:])
+}
+
+// xorSliceGo is XORSlice's pure-Go word kernel: four uint64 words
+// (32 bytes) per iteration via encoding/binary views instead of
+// byte-at-a-time.
+func xorSliceGo(dst, src []byte) {
 	n := len(dst)
 	i := 0
 	for ; i+32 <= n; i += 32 {
@@ -190,8 +214,13 @@ func xorSliceScalar(dst, src []byte) {
 }
 
 // mulTables caches the 256-entry product row for each constant c, so
-// vector kernels do one table lookup per byte.
-var mulTables [256]*[256]byte
+// the pure-Go kernels do one table lookup per byte. nibbleTables holds
+// each constant's split-nibble tables for the SIMD kernels: c·x for
+// x = 0..15, then c·(x<<4) for x = 0..15.
+var (
+	mulTables    [256]*[256]byte
+	nibbleTables [256][32]byte
+)
 
 func init() {
 	for c := 0; c < 256; c++ {
@@ -200,6 +229,10 @@ func init() {
 			row[x] = Mul(byte(c), byte(x))
 		}
 		mulTables[c] = &row
+		for x := 0; x < 16; x++ {
+			nibbleTables[c][x] = row[x]
+			nibbleTables[c][16+x] = row[x<<4]
+		}
 	}
 }
 

@@ -223,58 +223,194 @@ func TestMatrixShapePanics(t *testing.T) {
 	NewMatrix(2, 3).Mul(NewMatrix(2, 3))
 }
 
-// TestWordKernelsMatchScalarAcrossSizes drives the word-parallel
-// kernels across every constant and across sizes straddling the word
-// threshold and word boundaries (tails of 1..31 bytes), comparing each
-// against the byte-at-a-time reference.
+// sliceKernel is one implementation of MulSlice, MulAddSlice or
+// XORSlice (c is ignored for XOR). It returns how many leading bytes it
+// covered: all of them except for the SIMD kernels, which leave the
+// tail past the last multiple of 32 bytes untouched.
+type sliceKernel struct {
+	name string
+	run  func(c byte, dst, src []byte) int
+	// ref is the byte-at-a-time reference the kernel must match.
+	ref func(c byte, dst, src []byte)
+}
+
+func whole(f func(c byte, dst, src []byte)) func(c byte, dst, src []byte) int {
+	return func(c byte, dst, src []byte) int { f(c, dst, src); return len(src) }
+}
+
+func mulSliceTable(c byte, dst, src []byte) {
+	clear(dst)
+	mulAddSliceTable(c, dst, src)
+}
+
+func xorRef(_ byte, dst, src []byte) { xorSliceScalar(dst, src) }
+
+// sliceKernels lists every path by name: the exported dispatchers,
+// the pure-Go word kernels and the SIMD kernels, each called directly.
+var sliceKernels = []sliceKernel{
+	{"MulSlice", whole(MulSlice), mulSliceTable},
+	{"mulSliceGo", whole(mulSliceGo), mulSliceTable},
+	{"mulSliceSIMD", mulSliceSIMD, mulSliceTable},
+	{"MulAddSlice", whole(MulAddSlice), mulAddSliceTable},
+	{"mulAddSliceGo", whole(mulAddSliceGo), mulAddSliceTable},
+	{"mulAddSliceSIMD", mulAddSliceSIMD, mulAddSliceTable},
+	{"XORSlice", whole(func(_ byte, dst, src []byte) { XORSlice(dst, src) }), xorRef},
+	{"xorSliceGo", whole(func(_ byte, dst, src []byte) { xorSliceGo(dst, src) }), xorRef},
+	{"xorSliceSIMD", func(_ byte, dst, src []byte) int { return xorSliceSIMD(dst, src) }, xorRef},
+}
+
+// checkKernel runs k on the view back[off:off+len(src)] and checks it
+// against k.ref over the bytes it reports covering, and that it left
+// every other byte of back alone.
+func checkKernel(t *testing.T, k sliceKernel, c byte, back, src []byte, off int) {
+	t.Helper()
+	n := len(src)
+	got := append([]byte(nil), back...)
+	done := k.run(c, got[off:off+n], src)
+	if hasAVX2 && done != n && done != n&^31 {
+		t.Fatalf("%s(c=%d, n=%d) covered %d bytes", k.name, c, n, done)
+	}
+	want := append([]byte(nil), back...)
+	k.ref(c, want[off:off+done], src[:done])
+	if !bytes.Equal(got, want) {
+		i := 0
+		for got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("%s(c=%d, n=%d, off=%d) diverges from the reference at byte %d of the backing array (view %d..%d, covered %d)",
+			k.name, c, n, off, i, off, off+n, done)
+	}
+}
+
+// TestWordKernelsMatchScalarAcrossSizes drives every kernel path across
+// every constant and across lengths from 0 to 4 KiB straddling the
+// word and SIMD block boundaries (tails of 1..31 bytes), comparing each
+// against the byte-at-a-time reference inside guard bytes.
 func TestWordKernelsMatchScalarAcrossSizes(t *testing.T) {
+	if !hasAVX2 {
+		t.Log("no AVX2: the SIMD entries cover nothing")
+	}
 	rng := rand.New(rand.NewSource(2))
-	sizes := []int{1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 127, 255, 256, 1000, 4096, 4099}
+	var sizes []int
+	for n := 0; n <= 97; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 127, 255, 256, 1000, 4065, 4095, 4096, 4099)
+	const guard = 40
 	for _, n := range sizes {
 		src := make([]byte, n)
-		orig := make([]byte, n)
+		back := make([]byte, n+2*guard)
 		rng.Read(src)
-		rng.Read(orig)
-		for c := 0; c < 256; c++ {
-			want := append([]byte(nil), orig...)
-			mulAddSliceTable(byte(c), want, src)
-			got := append([]byte(nil), orig...)
-			MulAddSlice(byte(c), got, src)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("MulAddSlice(c=%d, n=%d) diverges from table reference", c, n)
+		rng.Read(back)
+		for _, k := range sliceKernels {
+			for c := 0; c < 256; c++ {
+				checkKernel(t, k, byte(c), back, src, guard)
 			}
-		}
-		want := append([]byte(nil), orig...)
-		xorSliceScalar(want, src)
-		got := append([]byte(nil), orig...)
-		XORSlice(got, src)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("XORSlice(n=%d) diverges from scalar reference", n)
 		}
 	}
 }
 
-// TestWordKernelsUnalignedViews exercises the kernels on sub-slices at
-// every offset 0..15 of a backing array, since callers hand in views
+// TestWordKernelsUnalignedViews exercises every kernel path on views at
+// every offset 0..31 of a backing array, since callers hand in views
 // into larger buffers (shards of a chunk, MTU payloads mid-message).
 func TestWordKernelsUnalignedViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	back := make([]byte, 512)
-	src := make([]byte, 512)
+	back := make([]byte, 4<<10+64)
+	src := make([]byte, 4<<10+64)
 	rng.Read(src)
-	for off := 0; off < 16; off++ {
-		n := 400
-		rng.Read(back)
-		want := append([]byte(nil), back[off:off+n]...)
-		mulAddSliceTable(0xB7, want, src[off:off+n])
-		got := append([]byte(nil), back...)
-		MulAddSlice(0xB7, got[off:off+n], src[off:off+n])
-		if !bytes.Equal(got[off:off+n], want) {
-			t.Fatalf("MulAddSlice at offset %d diverges", off)
+	for off := 0; off < 32; off++ {
+		for _, n := range []int{31, 400, 4<<10 - 1, 4 << 10} {
+			rng.Read(back)
+			for _, k := range sliceKernels {
+				checkKernel(t, k, 0xB7, back, src[32-off:32-off+n], off)
+			}
 		}
-		if !bytes.Equal(got[:off], back[:off]) || !bytes.Equal(got[off+n:], back[off+n:]) {
-			t.Fatalf("MulAddSlice at offset %d wrote outside its view", off)
+	}
+}
+
+// TestDotMatchesRowReference checks the fused dot product against a
+// per-row mulAddSliceTable reference for 1..8 rows and 1..32 inputs,
+// through Dot and through its pure-Go and SIMD paths called directly.
+// Only out[r][lo:hi] may change.
+func TestDotMatchesRowReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	type span struct{ size, lo, hi int }
+	spans := []span{{167, 0, 167}, {167, 5, 140}, {40, 9, 9}, {4<<10 + 72, 0, 4<<10 + 72}}
+	paths := []struct {
+		name string
+		run  func(d *DotTables, out, in [][]byte, lo, hi int) int
+	}{
+		{"Dot", func(d *DotTables, out, in [][]byte, lo, hi int) int { d.Dot(out, in, lo, hi); return hi }},
+		{"dotGo", func(d *DotTables, out, in [][]byte, lo, hi int) int { d.dotGo(out, in, lo, hi); return hi }},
+		{"dotSIMD", func(d *DotTables, out, in [][]byte, lo, hi int) int { return d.dotSIMD(out, in, lo, hi) }},
+	}
+	for rows := 1; rows <= 8; rows++ {
+		for k := 1; k <= 32; k++ {
+			sp := spans[(rows*32+k)%len(spans)]
+			if sp.size > 1000 && (rows+k)%5 != 0 {
+				sp = spans[0] // the multi-window span on a sample of shapes
+			}
+			m := NewMatrix(rows, k)
+			rng.Read(m.Data)
+			d := NewDotTables(m)
+			in := make([][]byte, k)
+			for j := range in {
+				in[j] = make([]byte, sp.size)
+				rng.Read(in[j])
+			}
+			orig := make([][]byte, rows)
+			for r := range orig {
+				orig[r] = make([]byte, sp.size)
+				rng.Read(orig[r])
+			}
+			for _, p := range paths {
+				got := make([][]byte, rows)
+				for r := range got {
+					got[r] = append([]byte(nil), orig[r]...)
+				}
+				done := p.run(d, got, in, sp.lo, sp.hi)
+				if hasAVX2 && done != sp.hi && done != sp.lo+(sp.hi-sp.lo)&^31 {
+					t.Fatalf("%s rows=%d k=%d: covered up to %d of [%d,%d)", p.name, rows, k, done, sp.lo, sp.hi)
+				}
+				for r := range got {
+					want := append([]byte(nil), orig[r]...)
+					if done > sp.lo {
+						clear(want[sp.lo:done])
+						for j := range in {
+							mulAddSliceTable(m.At(r, j), want[sp.lo:done], in[j][sp.lo:done])
+						}
+					}
+					if !bytes.Equal(got[r], want) {
+						t.Fatalf("%s rows=%d k=%d [%d,%d): row %d diverges from the reference", p.name, rows, k, sp.lo, sp.hi, r)
+					}
+				}
+			}
 		}
+	}
+}
+
+func TestDotPanicsOnBadShape(t *testing.T) {
+	d := NewDotTables(NewMatrix(2, 3))
+	ok := func() ([][]byte, [][]byte) {
+		return [][]byte{make([]byte, 64), make([]byte, 64)},
+			[][]byte{make([]byte, 64), make([]byte, 64), make([]byte, 64)}
+	}
+	for name, fn := range map[string]func(){
+		"rows":        func() { out, in := ok(); d.Dot(out[:1], in, 0, 64) },
+		"cols":        func() { out, in := ok(); d.Dot(out, in[:2], 0, 64) },
+		"short out":   func() { out, in := ok(); out[1] = out[1][:63]; d.Dot(out, in, 0, 64) },
+		"short in":    func() { out, in := ok(); in[2] = in[2][:32]; d.Dot(out, in, 0, 64) },
+		"range":       func() { out, in := ok(); d.Dot(out, in, 33, 32) },
+		"negative lo": func() { out, in := ok(); d.Dot(out, in, -1, 32) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Dot did not panic", name)
+				}
+			}()
+			fn()
+		}()
 	}
 }
 
@@ -400,5 +536,39 @@ func BenchmarkXORSlice64K(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		XORSlice(dst, src)
+	}
+}
+
+// BenchmarkDot32x8 runs the fused dot product at RS(32,8)'s shape: 8
+// output rows over 32 inputs of 64 KiB, counting input bytes.
+// BenchmarkDot32x8Go is the pure-Go row-at-a-time path on the same
+// shape.
+func BenchmarkDot32x8(b *testing.B) {
+	benchDot(b, (*DotTables).Dot)
+}
+
+func BenchmarkDot32x8Go(b *testing.B) {
+	benchDot(b, (*DotTables).dotGo)
+}
+
+func benchDot(b *testing.B, dot func(d *DotTables, out, in [][]byte, lo, hi int)) {
+	const rows, k, n = 8, 32, 64 << 10
+	rng := rand.New(rand.NewSource(1))
+	m := NewMatrix(rows, k)
+	rng.Read(m.Data)
+	d := NewDotTables(m)
+	in := make([][]byte, k)
+	for j := range in {
+		in[j] = make([]byte, n)
+		rng.Read(in[j])
+	}
+	out := make([][]byte, rows)
+	for r := range out {
+		out[r] = make([]byte, n)
+	}
+	b.SetBytes(k * n)
+	b.ReportAllocs()
+	for b.Loop() {
+		dot(d, out, in, 0, n)
 	}
 }

@@ -10,8 +10,7 @@ import (
 )
 
 // smokeDumbbell builds the thousand-flow test shape: one leaf pair
-// around a lossless bottleneck, with a trimmed control-plane slab so
-// hundreds of concurrent deployments stay cheap.
+// around a lossless bottleneck.
 func smokeDumbbell(t *testing.T, clk clock.Clock, pairs int) *DumbbellTopo {
 	t.Helper()
 	access := EdgeConfig{DistanceKm: 50, BandwidthBps: 10e9, BufferBytes: 1 << 20}
@@ -20,7 +19,6 @@ func smokeDumbbell(t *testing.T, clk clock.Clock, pairs int) *DumbbellTopo {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.CtrlRecvBufs = 64
 	return d
 }
 

@@ -159,12 +159,6 @@ type Topology struct {
 	// Name labels the scenario in experiment output.
 	Name string
 
-	// CtrlRecvBufs, when non-zero, sizes the control planes' receive
-	// slabs of flow deployments pooled after it is set (0 = the
-	// ControlPlane default of 1024). Thousand-flow topologies shrink it
-	// to keep the concurrent-deployment footprint bounded.
-	CtrlRecvBufs int
-
 	clk   clock.Clock
 	seed  int64
 	nodes []string
@@ -458,9 +452,8 @@ func (t *Topology) flowPool(coreCfg core.Config) (*session.Pool, error) {
 		return p, nil
 	}
 	p, err := session.NewPool(session.Config{
-		Core:         coreCfg,
-		CtrlRecvBufs: t.CtrlRecvBufs,
-		Name:         t.Name,
+		Core: coreCfg,
+		Name: t.Name,
 	})
 	if err != nil {
 		return nil, err

@@ -106,19 +106,19 @@ func (cp *ControlPlane) SetFault(fn CtrlFault) {
 	cp.fault.Store(&fn)
 }
 
+// ctrlRecvBufs is the number of receive buffers a control plane keeps
+// posted. The control CQ delivers synchronously and handleCQE reposts
+// each buffer before it returns, so at most one buffer per goroutine
+// delivering at that moment is ever out; 64 leaves ample headroom and
+// keeps a deployment's two rings at 2×64 MTU-sized buffers.
+const ctrlRecvBufs = 64
+
 // NewControlPlane creates the control endpoint on dev transmitting via
 // wire, waking clock waiters (nil = shared real clock) as messages
-// arrive. Call ConnectCtrl with the peer's QPN before use.
-func NewControlPlane(dev *nicsim.Device, wire nicsim.Wire, mtu int, clk clock.Clock) *ControlPlane {
-	return NewControlPlaneBufs(dev, wire, mtu, clk, 0)
-}
-
-// NewControlPlaneBufs is NewControlPlane with an explicit receive-slab
-// size (nbufs <= 0 selects the default of 1024 buffers). The session
+// arrive. Call ConnectCtrl with the peer's QPN before use. The session
 // fabric builds pooled control planes with wire == nil — detached, to
-// be attached per lease via Rebind — and topologies hosting hundreds
-// of concurrent deployments size the slab down to keep memory bounded.
-func NewControlPlaneBufs(dev *nicsim.Device, wire nicsim.Wire, mtu int, clk clock.Clock, nbufs int) *ControlPlane {
+// be attached per lease via Rebind.
+func NewControlPlane(dev *nicsim.Device, wire nicsim.Wire, mtu int, clk clock.Clock) *ControlPlane {
 	cq := nicsim.NewCQ(4096, false)
 	cp := &ControlPlane{
 		ud:       nicsim.NewUDQP(dev, mtu, cq),
@@ -128,15 +128,10 @@ func NewControlPlaneBufs(dev *nicsim.Device, wire nicsim.Wire, mtu int, clk cloc
 		handlers: make(map[uint64]chan ctrlMsg),
 	}
 	cp.ud.Attach(wire)
-	// Keep a pool of receive buffers posted, carved from one slab (a
-	// control plane per session side makes per-buffer allocations the
-	// dominant construction cost of a multi-session sweep otherwise).
-	if nbufs <= 0 {
-		nbufs = 1024
-	}
-	slab := make([]byte, nbufs*mtu)
-	cp.bufs = make([][]byte, nbufs)
-	for i := 0; i < nbufs; i++ {
+	// Keep a ring of receive buffers posted, carved from one slab.
+	slab := make([]byte, ctrlRecvBufs*mtu)
+	cp.bufs = make([][]byte, ctrlRecvBufs)
+	for i := range cp.bufs {
 		buf := slab[i*mtu : (i+1)*mtu : (i+1)*mtu]
 		cp.bufs[i] = buf
 		cp.ud.PostRecv(buf, uint64(i))
@@ -147,6 +142,10 @@ func NewControlPlaneBufs(dev *nicsim.Device, wire nicsim.Wire, mtu int, clk cloc
 
 // QPN returns the control UD QP number for the peer's ConnectCtrl.
 func (cp *ControlPlane) QPN() uint32 { return cp.ud.QPN() }
+
+// RNRDrops reports how many inbound control datagrams found no posted
+// receive buffer since the last Rebind.
+func (cp *ControlPlane) RNRDrops() uint64 { return cp.ud.RNRDrops.Load() }
 
 // ConnectCtrl sets the peer control QPN.
 func (cp *ControlPlane) ConnectCtrl(peerQPN uint32) { cp.peer = peerQPN }

@@ -51,11 +51,6 @@ type Config struct {
 	// with. Core.Clock must be set: the pool's deployments all run on
 	// it, and pooling across clocks would leak state between runs.
 	Core core.Config
-	// CtrlRecvBufs overrides the per-side control-plane receive-buffer
-	// count (0 = the ControlPlane default of 1024). Topologies hosting
-	// hundreds of concurrent deployments size the slab down to keep
-	// memory bounded.
-	CtrlRecvBufs int
 	// Name prefixes pooled device names (diagnostics only; defaults to
 	// "session").
 	Name string
@@ -187,9 +182,9 @@ func (p *Pool) build(idx int) (*Deployment, error) {
 	mtu := pair.A.Ctx.Config().MTU
 	clk := pair.A.Ctx.Clock()
 	// Control planes are built detached (nil wire) and re-attached per
-	// lease; their receive slabs survive across leases.
-	cpA := reliability.NewControlPlaneBufs(devA, nil, mtu, clk, p.cfg.CtrlRecvBufs)
-	cpB := reliability.NewControlPlaneBufs(devB, nil, mtu, clk, p.cfg.CtrlRecvBufs)
+	// lease; their receive rings survive across leases.
+	cpA := reliability.NewControlPlane(devA, nil, mtu, clk)
+	cpB := reliability.NewControlPlane(devB, nil, mtu, clk)
 	// Per-flow registrations (staging buffers, parity scratch) must not
 	// accumulate across leases; track them so Reset deregisters.
 	pair.A.Ctx.SetMRTracking(true)
