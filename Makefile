@@ -15,9 +15,9 @@ RACE_PKGS = ./internal/bitmap/ ./internal/gf256/ ./internal/ec/ \
 	./internal/netem/ ./internal/simnet/ ./internal/session/ ./internal/chaos/ \
 	./internal/nicsim/ ./internal/telemetry/ ./internal/stats/ ./internal/dpa/ ./cmd/sdr-perftest/
 
-.PHONY: ci vet vet-arm64 build test race bench bench-kernels bench-json bench-par smoke-flows smoke-adaptive smoke-perftest smoke-trace smoke-chaos
+.PHONY: ci vet vet-arm64 build test race bench bench-kernels bench-json bench-par smoke-flows smoke-adaptive smoke-perftest smoke-trace smoke-chaos smoke-examples digests
 
-ci: vet vet-arm64 build race test smoke-perftest smoke-trace smoke-chaos
+ci: vet vet-arm64 build race test smoke-perftest smoke-trace smoke-chaos smoke-examples
 
 # On amd64, vet's asmdecl pass checks the gf256 assembly against its Go
 # declarations. The arm64 pass keeps the pure-Go fallback that every
@@ -123,3 +123,29 @@ smoke-trace:
 # leases; the report is byte-identical across sweep-worker counts.
 smoke-chaos:
 	$(GO) test -count=1 -run 'TestChaosSmoke|TestChaosWorkerDeterminism' -v ./internal/chaos/
+
+# Examples smoke: every program under examples/ runs to completion
+# (each finishes in about a second; wanreliability and allreduce
+# verify their received bytes and exit non-zero on corruption).
+smoke-examples:
+	@for ex in quickstart wanreliability allreduce tuner; do \
+		echo "== examples/$$ex"; $(GO) run ./examples/$$ex || exit 1; \
+	done
+
+# Determinism digests: the sha256 of each functional figure's stdout
+# (default flags) and the seed-determined fields of a lossy perftest
+# run per protocol (wall-clock fields excluded). A refactor that keeps
+# behaviour keeps this output byte-identical.
+digests:
+	@for f in wan multidc adaptive chaos; do \
+		printf '%-20s %s\n' $$f-functional "$$($(GO) run ./cmd/sdr-experiments -fig $$f-functional | sha256sum | cut -d' ' -f1)" || exit 1; \
+	done
+	@for p in sr sr-nack ec adaptive; do \
+		$(GO) run ./cmd/sdr-perftest -scheme $$p -msgs 16 -drop 1e-2 -seed 3 | awk -v p=$$p ' \
+			/Gbit\/s/ { for (i = 1; i <= NF; i++) { \
+				if ($$i == "sim") sim = $$(i-2); if ($$i == "host") host = $$(i-1); if ($$i == "digest") dg = $$(i+1) } } \
+			/^data pkts recv/ { recv = $$4; dup = $$6 } \
+			/^per-transfer completion/ { p50 = $$4; p99 = $$6; p999 = $$8 } \
+			END { printf "perftest %-8s sim %s ms  host pkts %s  data pkts recv %s  duplicates %s  p50 %s  p99 %s  p99.9 %s  digest %s\n", \
+				p, sim, host, recv, dup, p50, p99, p999, dg }' || exit 1; \
+	done

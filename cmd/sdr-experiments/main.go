@@ -1,6 +1,6 @@
 // Command sdr-experiments regenerates the paper's evaluation figures
-// (§5). Each figure prints the same rows/series the paper plots;
-// EXPERIMENTS.md records paper-vs-measured.
+// (§5). Each figure prints the same rows/series the paper plots, with
+// its paper-vs-measured comparison in the notes.
 //
 // Usage:
 //

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"sdrrdma/internal/telemetry"
@@ -252,5 +253,19 @@ func TestPerftestTraceAndQuantiles(t *testing.T) {
 	}
 	if !bytes.Equal(trace, trace2) {
 		t.Fatal("trace bytes diverged across identical runs")
+	}
+}
+
+// An unknown -scheme fails in reliability.ParseProtocol, before any
+// deployment is built, with the error that lists the valid names.
+func TestPerftestRejectsUnknownScheme(t *testing.T) {
+	_, err := Run(Options{Scheme: "bogus"})
+	if err == nil {
+		t.Fatal("scheme bogus accepted")
+	}
+	for _, want := range []string{`"bogus"`, "sr, sr-nack, ec, adaptive"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
 	}
 }

@@ -23,8 +23,8 @@ import (
 // transfers through the full nicsim/core/reliability path, the Go
 // equivalent of the paper's sdr_write_bw benchmark.
 type Options struct {
-	// Scheme selects the reliability protocol: "sr", "sr-nack", "ec"
-	// or "adaptive".
+	// Scheme names the reliability protocol: "sr", "sr-nack", "ec"
+	// or "adaptive" (reliability.ParseProtocol).
 	Scheme string
 	// Clock is "virtual" (deterministic DES; goodput is exact at the
 	// simulated line rate) or "real" (wall clock; host-throughput
@@ -162,10 +162,9 @@ func (drain) Deliver(*nicsim.Packet) {}
 // Run executes one perftest measurement.
 func Run(o Options) (Result, error) {
 	o = o.withDefaults()
-	switch o.Scheme {
-	case "sr", "sr-nack", "ec", "adaptive":
-	default:
-		return Result{}, fmt.Errorf("perftest: unknown scheme %q", o.Scheme)
+	proto, err := reliability.ParseProtocol(o.Scheme)
+	if err != nil {
+		return Result{}, fmt.Errorf("perftest: %w", err)
 	}
 	var clk clock.Clock
 	switch o.Clock {
@@ -196,18 +195,12 @@ func Run(o Options) (Result, error) {
 		Generations: 2, Channels: o.Channels, CQDepth: 1 << 12,
 		Clock: clk,
 	}
-	relCfg := reliability.Config{
-		RTT:   o.RTT,
-		Alpha: 2,
-		NACK:  o.Scheme == "sr-nack",
-		K:     32, M: 8, Code: "mds",
-	}
+	relCfg := reliability.Config{RTT: o.RTT, Alpha: 2, K: 32, M: 8, Code: "mds"}
 
 	var (
 		sess *reliability.Session
 		topo *netem.Topology
 		gen  *netem.TrafficGen
-		err  error
 	)
 	oneWay := o.RTT / 2
 	if o.CrossBps > 0 {
@@ -281,22 +274,8 @@ func Run(o Options) (Result, error) {
 	defer putBuf(recvBuf)
 	mr := sess.Pair.B.Ctx.RegMR(recvBuf)
 
-	var scratch []*nicsim.MR
-	var acfg reliability.AdaptorConfig
-	var ad *reliability.Adaptor
-	scratchBytes := 0
-	switch o.Scheme {
-	case "ec":
-		scratchBytes = relCfg.ECScratchBytes(o.Chunk, o.Size)
-	case "adaptive":
-		ad, err = reliability.NewAdaptor(acfg)
-		if err != nil {
-			return Result{}, err
-		}
-		scratchBytes = reliability.AdaptiveScratchBytes(acfg, o.Chunk, o.Size)
-	}
-	if scratchBytes > 0 {
-		scratch = make([]*nicsim.MR, o.Window)
+	scratch := make([]*nicsim.MR, o.Window)
+	if scratchBytes := proto.ScratchBytes(sess.B, o.Size); scratchBytes > 0 {
 		for w := range scratch {
 			buf := getBuf(scratchBytes)
 			defer putBuf(buf)
@@ -320,16 +299,7 @@ func Run(o Options) (Result, error) {
 	clock.JoinNamed(clk,
 		clock.NamedFunc{Name: "perftest-send", Fn: func() {
 			for i := 0; i < o.Msgs; i++ {
-				data := sendBufs[i%o.Window]
-				switch o.Scheme {
-				case "ec":
-					sendErr = sess.A.WriteEC(data)
-				case "adaptive":
-					sendErr = sess.A.WriteAdaptive(acfg, data)
-				default:
-					sendErr = sess.A.WriteSR(data)
-				}
-				if sendErr != nil {
+				if sendErr = proto.Write(sess.A, sendBufs[i%o.Window]); sendErr != nil {
 					sendErr = fmt.Errorf("msg %d: %w", i, sendErr)
 					return
 				}
@@ -340,15 +310,7 @@ func Run(o Options) (Result, error) {
 				w := i % o.Window
 				off := uint64(w * o.Size)
 				t0 := clk.Now()
-				switch o.Scheme {
-				case "ec":
-					recvErr = sess.B.ReceiveEC(mr, off, o.Size, scratch[w])
-				case "adaptive":
-					recvErr = sess.B.ReceiveAdaptive(ad, mr, off, o.Size, scratch[w])
-				default:
-					recvErr = sess.B.ReceiveSR(mr, off, o.Size)
-				}
-				if recvErr != nil {
+				if recvErr = proto.Receive(sess.B, mr, off, o.Size, scratch[w]); recvErr != nil {
 					recvErr = fmt.Errorf("msg %d: %w", i, recvErr)
 					return
 				}

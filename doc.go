@@ -9,9 +9,12 @@
 //   - nicsim, fabric, dpa: the simulated substrate (UC/UD/RC queue
 //     pairs, indirect and NULL memory keys, lossy long-haul wire,
 //     DPA worker emulation)
-//   - reliability: Selective Repeat and Erasure Coding layers built
-//     on the SDR bitmap, with background (asynchronous) final-ACK
-//     linger so completed receives leave the collective critical path
+//   - reliability: the reliability layers built on the SDR bitmap —
+//     one parsed Protocol (sr, sr-nack, ec, adaptive) dispatching to
+//     three engines that share one set of building blocks (SR chunk
+//     tracking, the EC submessage codec, the NACK, and a receiver
+//     finish path whose final-ACK linger runs in the background, so
+//     completed receives leave the collective critical path)
 //   - session: the elastic session fabric — pools of fully built
 //     reliability deployments leased and reset per flow, so
 //     thousand-flow multi-tenant topologies pay a rebind, not a
@@ -44,6 +47,7 @@
 // tuned to roughly a tenth of an allocation per packet — see the
 // "Line-rate perftest" README section).
 //
-// See README.md for a tour and EXPERIMENTS.md for paper-vs-measured
-// results. Benchmarks in bench_test.go regenerate each figure.
+// See README.md for a tour; its "Regenerating the paper's figures"
+// section covers paper-vs-measured results. Benchmarks in
+// bench_test.go regenerate each figure.
 package sdrrdma

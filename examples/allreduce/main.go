@@ -46,7 +46,7 @@ func main() {
 		}
 	}
 
-	for _, proto := range []string{"sr", "ec"} {
+	for _, proto := range []reliability.Protocol{reliability.ProtoSR, reliability.ProtoEC} {
 		ring, err := collective.BuildFunctionalRing(nDCs, coreCfg, relCfg,
 			fabric.Config{Latency: time.Millisecond, DropProb: 0.02, Seed: 99},
 			time.Millisecond, vlen*8)

@@ -34,16 +34,14 @@ func main() {
 	}
 	const size = 256 << 10
 
-	for _, proto := range []string{"sr", "sr-nack", "ec"} {
-		cfg := relCfg
-		cfg.NACK = proto == "sr-nack"
-		elapsed, resent := run(coreCfg, cfg, proto, size)
+	for _, proto := range []reliability.Protocol{reliability.ProtoSR, reliability.ProtoSRNACK, reliability.ProtoEC} {
+		elapsed, resent := run(coreCfg, relCfg, proto, size)
 		fmt.Printf("%-8s  completed %3d KiB in %8.2f ms  (packets sent: %d)\n",
 			proto, size>>10, elapsed.Seconds()*1e3, resent)
 	}
 }
 
-func run(coreCfg core.Config, relCfg reliability.Config, proto string, size int) (time.Duration, uint64) {
+func run(coreCfg core.Config, relCfg reliability.Config, proto reliability.Protocol, size int) (time.Duration, uint64) {
 	lat := 2 * time.Millisecond
 	sess, err := reliability.NewSession(coreCfg, relCfg,
 		fabric.Config{Latency: lat, DropProb: 0.03, Seed: 11},
@@ -60,7 +58,7 @@ func run(coreCfg core.Config, relCfg reliability.Config, proto string, size int)
 	}
 	recvBuf := make([]byte, size)
 	mr := sess.Pair.B.Ctx.RegMR(recvBuf)
-	scratch := sess.Pair.B.Ctx.RegMR(make([]byte, 1<<20))
+	scratch := sess.ScratchMR(proto, size)
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -68,19 +66,11 @@ func run(coreCfg core.Config, relCfg reliability.Config, proto string, size int)
 	var sendErr, recvErr error
 	go func() {
 		defer wg.Done()
-		if proto == "ec" {
-			sendErr = sess.A.WriteEC(data)
-		} else {
-			sendErr = sess.A.WriteSR(data)
-		}
+		sendErr = proto.Write(sess.A, data)
 	}()
 	go func() {
 		defer wg.Done()
-		if proto == "ec" {
-			recvErr = sess.B.ReceiveEC(mr, 0, size, scratch)
-		} else {
-			recvErr = sess.B.ReceiveSR(mr, 0, size)
-		}
+		recvErr = proto.Receive(sess.B, mr, 0, size, scratch)
 	}()
 	wg.Wait()
 	elapsed := time.Since(start)

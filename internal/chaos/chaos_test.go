@@ -273,7 +273,7 @@ func TestControlRingNeverRNRDrops(t *testing.T) {
 			}
 		}
 		sched, eps := compile(p)
-		flow, err := topo.NewFlow(src, dst, chaosCoreCfg(), chaosRelCfg(tc.scheme))
+		flow, err := topo.NewFlow(src, dst, chaosCoreCfg(), chaosRelCfg())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,9 +50,9 @@ func chaosCoreCfg() core.Config {
 	}
 }
 
-func chaosRelCfg(scheme string) reliability.Config {
+func chaosRelCfg() reliability.Config {
 	return reliability.Config{
-		Alpha: 2, NACK: scheme != SchemeSR, K: 4, M: 2, Code: "mds",
+		Alpha: 2, K: 4, M: 2, Code: "mds",
 		GlobalTimeout: GlobalTimeout,
 	}
 }
@@ -237,40 +237,22 @@ func transfer(clk *clock.Virtual, flow *reliability.Session, scheme string, size
 	data := pattern(size, seed)
 	recvBuf := make([]byte, size)
 	mr := flow.Pair.B.Ctx.RegMR(recvBuf)
-	chunk := flow.Pair.B.Ctx.Config().ChunkBytes
-
-	var send, recv func() error
-	switch scheme {
-	case SchemeSR, SchemeSRNACK:
-		send = func() error { return flow.A.WriteSR(data) }
-		recv = func() error { return flow.B.ReceiveSR(mr, 0, size) }
-	case SchemeEC:
-		scratch := flow.Pair.B.Ctx.RegMR(make([]byte, flow.A.Cfg.ECScratchBytes(chunk, size)))
-		send = func() error { return flow.A.WriteEC(data) }
-		recv = func() error { return flow.B.ReceiveEC(mr, 0, size, scratch) }
-	case SchemeAdaptive:
-		acfg := reliability.AdaptorConfig{}.WithDefaults()
-		ad, err := reliability.NewAdaptor(acfg)
-		if err != nil {
-			return xferResult{sendErr: err}
-		}
-		scratch := flow.Pair.B.Ctx.RegMR(make([]byte, reliability.AdaptiveScratchBytes(acfg, chunk, size)))
-		send = func() error { return flow.A.WriteAdaptive(acfg, data) }
-		recv = func() error { return flow.B.ReceiveAdaptive(ad, mr, 0, size, scratch) }
-	default:
-		return xferResult{sendErr: fmt.Errorf("chaos: unknown scheme %q", scheme)}
+	proto, err := reliability.ParseProtocol(scheme)
+	if err != nil {
+		return xferResult{sendErr: fmt.Errorf("chaos: %w", err)}
 	}
+	scratch := flow.ScratchMR(proto, size)
 
 	var res xferResult
 	start := clk.Now()
 	var tSend, tRecv time.Duration
 	clock.JoinNamed(clk,
 		clock.NamedFunc{Name: "chaos-send", Fn: func() {
-			res.sendErr = safeCall(send)
+			res.sendErr = safeCall(func() error { return proto.Write(flow.A, data) })
 			tSend = clk.Since(start)
 		}},
 		clock.NamedFunc{Name: "chaos-recv", Fn: func() {
-			res.recvErr = safeCall(recv)
+			res.recvErr = safeCall(func() error { return proto.Receive(flow.B, mr, 0, size, scratch) })
 			tRecv = clk.Since(start)
 		}},
 	)
@@ -308,7 +290,7 @@ func runSDR(clk *clock.Virtual, p Program, o *Outcome) {
 	}
 	sched, eps := compile(p)
 	coreCfg := chaosCoreCfg()
-	relCfg := chaosRelCfg(p.Scheme)
+	relCfg := chaosRelCfg()
 	flow, err := topo.NewFlow(src, dst, coreCfg, relCfg)
 	if err != nil {
 		o.viol("lease: %v", err)

@@ -20,7 +20,6 @@ func BenchmarkFunctionalAllreduceVirtual(b *testing.B) {
 	relCfg := reliability.Config{
 		RTT:           2 * time.Millisecond,
 		Alpha:         2,
-		NACK:          true,
 		PollInterval:  300 * time.Microsecond,
 		AckInterval:   600 * time.Microsecond,
 		Linger:        4 * time.Millisecond,
@@ -43,7 +42,7 @@ func BenchmarkFunctionalAllreduceVirtual(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ring.Allreduce(inputs, "sr"); err != nil {
+		if _, err := ring.Allreduce(inputs, reliability.ProtoSRNACK); err != nil {
 			b.Fatal(err)
 		}
 		ring.Close()

@@ -123,20 +123,6 @@ func (r *FunctionalRing) Close() {
 // i to node (i+1) mod N) for stats inspection.
 func (r *FunctionalRing) Sessions() []*reliability.Session { return r.sessions }
 
-func send(ep *reliability.Endpoint, data []byte, protocol string) error {
-	if protocol == "ec" {
-		return ep.WriteEC(data)
-	}
-	return ep.WriteSR(data)
-}
-
-func recv(ep *reliability.Endpoint, staging, parity *nicsim.MR, size int, protocol string) error {
-	if protocol == "ec" {
-		return ep.ReceiveEC(staging, 0, size, parity)
-	}
-	return ep.ReceiveSR(staging, 0, size)
-}
-
 // gate is the collective's cross-actor synchronization primitive: a
 // monotone counter posted by one actor and awaited by another, built
 // on the clock's epoch-counted Notify so it blocks correctly on both
@@ -197,7 +183,7 @@ func ringStep(i, t, n int) (sendIdx, recvIdx int, reduce bool) {
 
 // Allreduce sums the per-node float64 vectors with the ring algorithm
 // (§5.3: reduce-scatter + allgather, 2N−2 stages) using the given
-// reliability protocol ("sr" or "ec") for every point-to-point stage.
+// reliability protocol for every point-to-point stage.
 // All inputs must have equal length divisible by N. It returns the
 // reduced vector (identical on every node) or the first error.
 //
@@ -208,7 +194,7 @@ func ringStep(i, t, n int) (sendIdx, recvIdx int, reduce bool) {
 // payload is the segment step t−1's receive reduced, enforced by a
 // per-node gate; everything else is ordered by the protocol itself
 // (a sender cannot outrun its receiver's CTS).
-func (r *FunctionalRing) Allreduce(inputs [][]float64, protocol string) ([]float64, error) {
+func (r *FunctionalRing) Allreduce(inputs [][]float64, proto reliability.Protocol) ([]float64, error) {
 	n := r.N
 	if len(inputs) != n {
 		return nil, fmt.Errorf("collective: %d inputs for %d nodes", len(inputs), n)
@@ -260,7 +246,7 @@ func (r *FunctionalRing) Allreduce(inputs [][]float64, protocol string) ([]float
 					binary.LittleEndian.PutUint64(payload[j*8:],
 						math.Float64bits(buf[sendIdx*seg+j]))
 				}
-				if err := send(node.sendEP, payload, protocol); err != nil {
+				if err := proto.Write(node.sendEP, payload); err != nil {
 					txErrs[i] = fmt.Errorf("node %d step %d send: %w", i, t, err)
 					return
 				}
@@ -268,7 +254,7 @@ func (r *FunctionalRing) Allreduce(inputs [][]float64, protocol string) ([]float
 		}})
 		actors = append(actors, clock.NamedFunc{Name: fmt.Sprintf("ring-node%d/rx", i), Fn: func() { // receiver
 			for t := 0; t < steps; t++ {
-				if err := recv(node.recvEP, node.staging, node.parity, segBytes, protocol); err != nil {
+				if err := proto.Receive(node.recvEP, node.staging, 0, segBytes, node.parity); err != nil {
 					rxErrs[i] = fmt.Errorf("node %d step %d recv: %w", i, t, err)
 					rxDone.abort()
 					return
@@ -379,7 +365,7 @@ func (t *FunctionalTree) Sessions() []*reliability.Session { return t.sessions }
 // parent, then forwards to its children in schedule order — the
 // dependency chain whose per-stage reliability cost the tree model
 // samples.
-func (t *FunctionalTree) Broadcast(data []byte, protocol string) ([][]byte, error) {
+func (t *FunctionalTree) Broadcast(data []byte, proto reliability.Protocol) ([][]byte, error) {
 	n := t.N
 	for _, node := range t.nodes {
 		if node.parent != nil && uint64(len(data)) > node.staging.Span() {
@@ -396,7 +382,7 @@ func (t *FunctionalTree) Broadcast(data []byte, protocol string) ([][]byte, erro
 		actors[i] = clock.NamedFunc{Name: fmt.Sprintf("tree-node%d", i), Fn: func() {
 			buf := data
 			if node.parent != nil {
-				if err := recv(node.parent.B, node.staging, node.parity, len(data), protocol); err != nil {
+				if err := proto.Receive(node.parent.B, node.staging, 0, len(data), node.parity); err != nil {
 					errs[i] = fmt.Errorf("node %d recv: %w", i, err)
 					return
 				}
@@ -404,7 +390,7 @@ func (t *FunctionalTree) Broadcast(data []byte, protocol string) ([][]byte, erro
 				out[i] = buf
 			}
 			for c, s := range node.children {
-				if err := send(s.A, buf, protocol); err != nil {
+				if err := proto.Write(s.A, buf); err != nil {
 					errs[i] = fmt.Errorf("node %d child %d send: %w", i, c, err)
 					return
 				}

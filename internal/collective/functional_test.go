@@ -48,7 +48,7 @@ func buildRing(t *testing.T, clk clock.Clock, n int, loss float64, maxSeg int) *
 	return ring
 }
 
-func runFunctionalAllreduce(t *testing.T, clk clock.Clock, n, vlen int, loss float64, protocol string) {
+func runFunctionalAllreduce(t *testing.T, clk clock.Clock, n, vlen int, loss float64, proto reliability.Protocol) {
 	t.Helper()
 	ring := buildRing(t, clk, n, loss, vlen*8)
 	defer ring.Close()
@@ -63,7 +63,7 @@ func runFunctionalAllreduce(t *testing.T, clk clock.Clock, n, vlen int, loss flo
 			want[j] += inputs[i][j]
 		}
 	}
-	got, err := ring.Allreduce(inputs, protocol)
+	got, err := ring.Allreduce(inputs, proto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,19 +93,19 @@ func skipUnderRace(t *testing.T) {
 // scenarios below run as deterministic virtual-clock simulations.
 func TestFunctionalAllreduceSRLossless(t *testing.T) {
 	skipUnderRace(t)
-	runFunctionalAllreduce(t, nil, 4, 4096, 0, "sr")
+	runFunctionalAllreduce(t, nil, 4, 4096, 0, reliability.ProtoSR)
 }
 
 func TestFunctionalAllreduceSRLossyVirtual(t *testing.T) {
-	runFunctionalAllreduce(t, clock.NewVirtual(), 3, 3*1024, 0.05, "sr")
+	runFunctionalAllreduce(t, clock.NewVirtual(), 3, 3*1024, 0.05, reliability.ProtoSR)
 }
 
 func TestFunctionalAllreduceECLossyVirtual(t *testing.T) {
-	runFunctionalAllreduce(t, clock.NewVirtual(), 3, 3*1024, 0.05, "ec")
+	runFunctionalAllreduce(t, clock.NewVirtual(), 3, 3*1024, 0.05, reliability.ProtoEC)
 }
 
 func TestFunctionalAllreduceTwoNodesVirtual(t *testing.T) {
-	runFunctionalAllreduce(t, clock.NewVirtual(), 2, 2048, 0.02, "sr")
+	runFunctionalAllreduce(t, clock.NewVirtual(), 2, 2048, 0.02, reliability.ProtoSR)
 }
 
 // The virtual-clock collective is a pure function of (config, seed):
@@ -124,7 +124,7 @@ func TestFunctionalAllreduceVirtualDeterminism(t *testing.T) {
 				inputs[i][j] = float64(i*vlen + j)
 			}
 		}
-		if _, err := ring.Allreduce(inputs, "sr"); err != nil {
+		if _, err := ring.Allreduce(inputs, reliability.ProtoSR); err != nil {
 			t.Fatal(err)
 		}
 		var sent uint64
@@ -146,11 +146,11 @@ func TestFunctionalAllreduceVirtualDeterminism(t *testing.T) {
 func TestFunctionalAllreduceValidation(t *testing.T) {
 	ring := buildRing(t, nil, 3, 0, 1<<20)
 	defer ring.Close()
-	if _, err := ring.Allreduce(make([][]float64, 2), "sr"); err == nil {
+	if _, err := ring.Allreduce(make([][]float64, 2), reliability.ProtoSR); err == nil {
 		t.Fatal("wrong input count accepted")
 	}
 	bad := [][]float64{make([]float64, 10), make([]float64, 10), make([]float64, 10)}
-	if _, err := ring.Allreduce(bad, "sr"); err == nil {
+	if _, err := ring.Allreduce(bad, reliability.ProtoSR); err == nil {
 		t.Fatal("vector length not divisible by N accepted")
 	}
 	if _, err := BuildFunctionalRing(1, funcCoreCfg(nil), funcRelCfg(), fabric.Config{}, 0, 1024); err == nil {
@@ -180,7 +180,7 @@ func buildTree(t *testing.T, clk clock.Clock, n int, loss float64, maxBytes int)
 	return tree
 }
 
-func runFunctionalBroadcast(t *testing.T, clk clock.Clock, n, size int, loss float64, protocol string) {
+func runFunctionalBroadcast(t *testing.T, clk clock.Clock, n, size int, loss float64, proto reliability.Protocol) {
 	t.Helper()
 	tree := buildTree(t, clk, n, loss, size)
 	defer tree.Close()
@@ -188,7 +188,7 @@ func runFunctionalBroadcast(t *testing.T, clk clock.Clock, n, size int, loss flo
 	for i := range data {
 		data[i] = byte(i*31 + i>>7)
 	}
-	out, err := tree.Broadcast(data, protocol)
+	out, err := tree.Broadcast(data, proto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,15 +201,15 @@ func runFunctionalBroadcast(t *testing.T, clk clock.Clock, n, size int, loss flo
 
 func TestFunctionalBroadcastSRLossless(t *testing.T) {
 	skipUnderRace(t)
-	runFunctionalBroadcast(t, nil, 4, 64<<10, 0, "sr")
+	runFunctionalBroadcast(t, nil, 4, 64<<10, 0, reliability.ProtoSR)
 }
 
 func TestFunctionalBroadcastSRLossyVirtual(t *testing.T) {
-	runFunctionalBroadcast(t, clock.NewVirtual(), 6, 96<<10, 0.05, "sr")
+	runFunctionalBroadcast(t, clock.NewVirtual(), 6, 96<<10, 0.05, reliability.ProtoSR)
 }
 
 func TestFunctionalBroadcastECLossyVirtual(t *testing.T) {
-	runFunctionalBroadcast(t, clock.NewVirtual(), 5, 64<<10, 0.05, "ec")
+	runFunctionalBroadcast(t, clock.NewVirtual(), 5, 64<<10, 0.05, reliability.ProtoEC)
 }
 
 func TestFunctionalTreeValidation(t *testing.T) {
@@ -218,7 +218,7 @@ func TestFunctionalTreeValidation(t *testing.T) {
 	}
 	tree := buildTree(t, clock.NewVirtual(), 3, 0, 4096)
 	defer tree.Close()
-	if _, err := tree.Broadcast(make([]byte, 8192), "sr"); err == nil {
+	if _, err := tree.Broadcast(make([]byte, 8192), reliability.ProtoSR); err == nil {
 		t.Fatal("payload exceeding staging buffer accepted")
 	}
 }

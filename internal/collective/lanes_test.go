@@ -21,9 +21,9 @@ func collectiveCell(t *testing.T, v *clock.Virtual, cell int) string {
 	var sent uint64
 	switch cell % 3 {
 	case 0, 1: // ring allreduce, sr / ec
-		proto := "sr"
+		proto := reliability.ProtoSR
 		if cell%3 == 1 {
-			proto = "ec"
+			proto = reliability.ProtoEC
 		}
 		const n, vlen = 3, 3 * 1024
 		ring, err := BuildFunctionalRing(n, funcCoreCfg(v), funcRelCfg(), fab, time.Millisecond, vlen*8)
@@ -62,7 +62,7 @@ func collectiveCell(t *testing.T, v *clock.Virtual, cell int) string {
 		for i := range data {
 			data[i] = byte(seed) ^ byte(i*31)
 		}
-		if _, err := tree.Broadcast(data, "sr"); err != nil {
+		if _, err := tree.Broadcast(data, reliability.ProtoSR); err != nil {
 			t.Fatal(err)
 		}
 		for _, s := range tree.Sessions() {

@@ -8,17 +8,20 @@ import (
 
 	"sdrrdma/internal/clock"
 	"sdrrdma/internal/fabric"
+	"sdrrdma/internal/reliability"
 )
 
-// runRing4Allreduce executes the ring-4 allreduce figure scenario on a
-// fresh virtual clock with the given retire mode and returns its
-// completion time plus the reduced vector.
-func runRing4Allreduce(t *testing.T, syncRetire bool) (time.Duration, []float64) {
-	t.Helper()
+// The ring-4 allreduce figure scenario runs its 2N−2 dependent stages
+// with the final-ACK linger in the background (reliability/retire.go):
+// each receiver posts its next stage's buffer at the completion
+// instant. That must not cost correctness — under 3% loss the
+// reduction still equals the exact element-wise sum of its
+// integer-valued inputs. (The timing half of the contract, receivers
+// returning before their senders, is TestReceiverReturnsBeforeSender
+// in package reliability.)
+func TestRing4AllreduceAsyncRetireFigure(t *testing.T) {
 	vc := clock.NewVirtual()
-	relCfg := funcRelCfg()
-	relCfg.SyncRetire = syncRetire
-	ring, err := BuildFunctionalRing(4, funcCoreCfg(vc), relCfg,
+	ring, err := BuildFunctionalRing(4, funcCoreCfg(vc), funcRelCfg(),
 		fabric.Config{Latency: time.Millisecond, DropProb: 0.03, Seed: 42, Clock: vc},
 		time.Millisecond, 4096*8)
 	if err != nil {
@@ -29,49 +32,22 @@ func runRing4Allreduce(t *testing.T, syncRetire bool) (time.Duration, []float64)
 	const n, vlen = 4, 4096
 	rng := rand.New(rand.NewSource(7))
 	inputs := make([][]float64, n)
+	want := make([]float64, vlen)
 	for i := range inputs {
 		inputs[i] = make([]float64, vlen)
 		for j := range inputs[i] {
 			inputs[i][j] = math.Round(rng.Float64() * 1000)
+			want[j] += inputs[i][j] // integers: every fp sum is exact
 		}
 	}
-	got, err := ring.Allreduce(inputs, "sr")
+	got, err := ring.Allreduce(inputs, reliability.ProtoSR)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return vc.Elapsed(), got
-}
-
-// Async receive retire (reliability/retire.go) moves the final-ACK
-// linger off the collective critical path: with 2N−2 dependent stages,
-// the synchronous linger serialized ~one full linger window per stage.
-// This regression test pins the ring-4 allreduce figure: the async
-// path must produce the identical reduction and complete strictly
-// earlier in virtual time than the legacy synchronous mode
-// (Config.SyncRetire), and by at least one linger per pipeline depth.
-func TestRing4AllreduceAsyncRetireFigure(t *testing.T) {
-	syncT, syncRes := runRing4Allreduce(t, true)
-	asyncT, asyncRes := runRing4Allreduce(t, false)
-
-	if len(syncRes) != len(asyncRes) {
-		t.Fatalf("result lengths differ: %d vs %d", len(syncRes), len(asyncRes))
-	}
-	for j := range syncRes {
-		if syncRes[j] != asyncRes[j] {
-			t.Fatalf("async retire changed the reduction at element %d: %g vs %g",
-				j, asyncRes[j], syncRes[j])
+	for j := range want {
+		if got[j] != want[j] {
+			t.Fatalf("allreduce[%d] = %g, want exactly %g", j, got[j], want[j])
 		}
 	}
-	if asyncT >= syncT {
-		t.Fatalf("async retire did not shorten the ring-4 allreduce: async %v vs sync %v",
-			asyncT, syncT)
-	}
-	// The win must be structural, not noise: the synchronous path pays
-	// the linger on dependent stages, so asyncT should undercut syncT
-	// by at least one full linger window.
-	if syncT-asyncT < funcRelCfg().Linger {
-		t.Fatalf("async retire saved only %v, want at least one linger (%v): figure regressed",
-			syncT-asyncT, funcRelCfg().Linger)
-	}
-	t.Logf("ring-4 allreduce: sync=%v async=%v (saved %v)", syncT, asyncT, syncT-asyncT)
+	t.Logf("ring-4 allreduce completed in %v virtual", vc.Elapsed())
 }

@@ -182,10 +182,14 @@ func runAdaptiveScenario(clk clock.Clock, scheme string, size int, acfg reliabil
 // runAdaptiveFlow drives one SDR reliability transfer (adaptive, sr,
 // sr-nack or static ec) over the diamond.
 func runAdaptiveFlow(topo *netem.Topology, clk clock.Clock, src, dst int, scheme string, size int, acfg reliability.AdaptorConfig, seed int64, rec *telemetry.Recorder) (adaptiveStats, error) {
+	proto, err := reliability.ParseProtocol(scheme)
+	if err != nil {
+		return adaptiveStats{}, err
+	}
+	proto = proto.WithAdaptor(acfg)
 	coreCfg := multidcCoreCfg(clk)
 	relCfg := reliability.Config{
 		Alpha: 2,
-		NACK:  scheme == "sr-nack",
 		// The static EC comparator matches the adaptive ladder's middle
 		// rung geometry (one submessage per 16 chunks, 25% overhead).
 		K: 16, M: 4, Code: "mds",
@@ -204,46 +208,21 @@ func runAdaptiveFlow(topo *netem.Topology, clk clock.Clock, src, dst int, scheme
 	recvBuf := make([]byte, size)
 	mr := s.Pair.B.Ctx.RegMR(recvBuf)
 
+	scratch := s.ScratchMR(proto, size)
+
 	var (
-		ad       *reliability.Adaptor
-		scratch  *nicsim.MR
 		sendErr  error
 		recvErr  error
 		sendDone time.Duration
 	)
-	switch scheme {
-	case "adaptive":
-		if ad, err = reliability.NewAdaptor(acfg); err != nil {
-			return adaptiveStats{}, err
-		}
-		scratch = s.Pair.B.Ctx.RegMR(make([]byte,
-			reliability.AdaptiveScratchBytes(acfg, coreCfg.ChunkBytes, size)))
-	case "ec":
-		scratch = s.Pair.B.Ctx.RegMR(make([]byte, relCfg.ECScratchBytes(coreCfg.ChunkBytes, size)))
-	}
-
 	start := clk.Now()
 	clock.JoinNamed(clk,
 		clock.NamedFunc{Name: "adaptive-fig/" + scheme + "/send", Fn: func() {
-			switch scheme {
-			case "adaptive":
-				sendErr = s.A.WriteAdaptive(acfg, data)
-			case "ec":
-				sendErr = s.A.WriteEC(data)
-			default:
-				sendErr = s.A.WriteSR(data)
-			}
+			sendErr = proto.Write(s.A, data)
 			sendDone = clk.Since(start)
 		}},
 		clock.NamedFunc{Name: "adaptive-fig/" + scheme + "/recv", Fn: func() {
-			switch scheme {
-			case "adaptive":
-				recvErr = s.B.ReceiveAdaptive(ad, mr, 0, size, scratch)
-			case "ec":
-				recvErr = s.B.ReceiveEC(mr, 0, size, scratch)
-			default:
-				recvErr = s.B.ReceiveSR(mr, 0, size)
-			}
+			recvErr = proto.Receive(s.B, mr, 0, size, scratch)
 		}})
 	if sendErr != nil {
 		return adaptiveStats{}, fmt.Errorf("%s write: %w", scheme, sendErr)
@@ -262,7 +241,7 @@ func runAdaptiveFlow(topo *netem.Topology, clk clock.Clock, src, dst int, scheme
 		reroutes:   topo.PathReroutes(), // before Close retires the paths
 		trajectory: "-",
 	}
-	if ad != nil {
+	if ad := s.B.Adaptor(); ad != nil {
 		st.trajectory = adaptiveTrajectory(ad)
 	}
 	return st, nil
@@ -299,43 +278,8 @@ func runAdaptiveRC(topo *netem.Topology, clk clock.Clock, src, dst, size int, se
 	ab := fabric.NewDirectionTo(pAB, fabric.Config{Clock: clk})
 	ba := fabric.NewDirectionTo(pBA, fabric.Config{Clock: clk})
 
-	recvCQ := nicsim.NewCQ(1<<12, true)
-	sendCQ := nicsim.NewCQ(1<<12, true)
-	var completed atomic.Int64
-	recvCQ.SetSink(func(nicsim.CQE) {})
-	sendCQ.SetSink(func(nicsim.CQE) {
-		completed.Add(1)
-		clk.Notify()
-	})
-	qpA := nicsim.NewRCQP(devA, clk, 4096, nicsim.NewCQ(16, false), sendCQ, 3*rtt, 16)
-	qpA.SetSendWindow(adaptiveRCWindow)
-	qpB := nicsim.NewRCQP(devB, clk, 4096, recvCQ, nil, 3*rtt, 16)
-	defer qpA.Close()
-	defer qpB.Close()
-	qpA.Connect(ab, qpB.QPN())
-	qpB.Connect(ba, qpA.QPN())
-
-	data := wanPattern(size, byte(seed))
-	recvBuf := make([]byte, size)
-	mr := devB.RegMR(recvBuf)
-
-	start := clk.Now()
-	var elapsed time.Duration
-	clock.Join(clk, func() {
-		qpA.WriteImm(mr.Key(), 0, data, 0, 1)
-		for completed.Load() == 0 {
-			epoch := clk.Epoch()
-			if completed.Load() != 0 {
-				break
-			}
-			clk.WaitNotify(epoch, rtt)
-		}
-		elapsed = clk.Since(start)
-	})
-	if clk.IsVirtual() && !bytes.Equal(recvBuf, data) {
-		return 0, 0, fmt.Errorf("rc-gbn: received data corrupted")
-	}
-	return elapsed, ab.Tx.Load(), nil
+	elapsed, err := rcWrite(clk, devA, devB, ab, ba, rtt, adaptiveRCWindow, size, seed)
+	return elapsed, ab.Tx.Load(), err
 }
 
 // AdaptiveFunctional runs the adaptive mid-flight reliability figure:

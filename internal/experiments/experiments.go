@@ -1,12 +1,13 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§5). Each Fig* function returns a Result whose
-// rows mirror the series the paper plots; the cmd/sdr-experiments
-// binary prints them and EXPERIMENTS.md records paper-vs-measured.
+// rows mirror the series the paper plots, and whose notes compare
+// against the paper; the cmd/sdr-experiments binary prints them.
 //
 // Figures 2, 3 and 9–13 use the model path (the paper produced them
 // with its Python framework, §5.1.1); Figures 14–16 run the real Go
 // SDR stack over the in-memory fabric and report the actual pipeline
-// packet rates (shape-comparable, not absolute, per DESIGN.md).
+// packet rates (shape-comparable, not absolute; see the README's
+// "Regenerating the paper's figures").
 package experiments
 
 import (

@@ -340,13 +340,12 @@ func wanCoreCfg(clk clock.Clock) core.Config {
 // pay only the rebind; nil pool keeps the cold build (the wall-clock
 // churn benchmarks measure exactly that difference).
 func runWANReliability(pool *session.Pool, clk clock.Clock, scheme string, drop float64, size int, seed int64) (wanResult, error) {
-	coreCfg := wanCoreCfg(clk)
-	relCfg := reliability.Config{
-		RTT:   2 * wanOneWay,
-		Alpha: 2,
-		NACK:  scheme == "sr-nack",
-		K:     32, M: 8, Code: "mds",
+	proto, err := reliability.ParseProtocol(scheme)
+	if err != nil {
+		return wanResult{}, err
 	}
+	coreCfg := wanCoreCfg(clk)
+	relCfg := reliability.Config{RTT: 2 * wanOneWay, Alpha: 2, K: 32, M: 8, Code: "mds"}
 	fabCfg := func(s int64) fabric.Config {
 		return fabric.Config{
 			Latency: wanOneWay, BandwidthBps: 400e9,
@@ -354,7 +353,6 @@ func runWANReliability(pool *session.Pool, clk clock.Clock, scheme string, drop 
 		}
 	}
 	var s *reliability.Session
-	var err error
 	if pool != nil {
 		s, err = pool.LeaseLinkedOn(clk, relCfg, fabCfg(seed), fabCfg(seed+1000), wanOneWay)
 	} else {
@@ -368,35 +366,22 @@ func runWANReliability(pool *session.Pool, clk clock.Clock, scheme string, drop 
 	data := wanPattern(size, byte(seed))
 	recvBuf := make([]byte, size)
 	mr := s.Pair.B.Ctx.RegMR(recvBuf)
-	var scratch *nicsim.MR
-	if scheme == "ec" {
-		scratch = s.Pair.B.Ctx.RegMR(make([]byte, relCfg.ECScratchBytes(coreCfg.ChunkBytes, size)))
-	}
+	scratch := s.ScratchMR(proto, size)
 
 	start := clk.Now()
 	var sendDone time.Duration
 	var sendErr, recvErr error
 	clock.Join(clk,
 		func() {
-			if scheme == "ec" {
-				sendErr = s.A.WriteEC(data)
-			} else {
-				sendErr = s.A.WriteSR(data)
-			}
+			sendErr = proto.Write(s.A, data)
 			sendDone = clk.Since(start)
 		},
-		func() {
-			if scheme == "ec" {
-				recvErr = s.B.ReceiveEC(mr, 0, size, scratch)
-			} else {
-				recvErr = s.B.ReceiveSR(mr, 0, size)
-			}
-		})
+		func() { recvErr = proto.Receive(s.B, mr, 0, size, scratch) })
 	if sendErr != nil {
-		return wanResult{}, fmt.Errorf("%s write: %w", scheme, sendErr)
+		return wanResult{}, fmt.Errorf("%s write: %w", proto, sendErr)
 	}
 	if recvErr != nil {
-		return wanResult{}, fmt.Errorf("%s receive: %w", scheme, recvErr)
+		return wanResult{}, fmt.Errorf("%s receive: %w", proto, recvErr)
 	}
 	// Content verification is sound only on the virtual clock, where
 	// deliveries are serialized events: on the wall clock a
@@ -405,7 +390,7 @@ func runWANReliability(pool *session.Pool, clk clock.Clock, scheme string, drop 
 	// buffer here would itself be the race. The same scenarios are
 	// byte-verified on the virtual path.
 	if clk.IsVirtual() && !bytes.Equal(recvBuf, data) {
-		return wanResult{}, fmt.Errorf("%s: received data corrupted", scheme)
+		return wanResult{}, fmt.Errorf("%s: received data corrupted", proto)
 	}
 	return wanResult{completion: sendDone, packets: s.Pair.A.QP.Stats().PacketsSent}, nil
 }
@@ -434,6 +419,21 @@ func runWANRC(clk clock.Clock, drop float64, size int, seed int64) (wanResult, e
 	devA := nicsim.NewDevice("rcWanA")
 	devB := nicsim.NewDevice("rcWanB")
 	link := fabric.NewLink(devA, devB, fabCfg(seed), fabCfg(seed+1000))
+	elapsed, err := rcWrite(clk, devA, devB, link.AB, link.BA, rtt, wanRCWindow, size, seed)
+	if err != nil {
+		return wanResult{}, err
+	}
+	return wanResult{completion: elapsed, packets: link.AB.Tx.Load()}, nil
+}
+
+// rcWrite runs the commodity RC baseline from devA to devB over the
+// wires ab and ba on clk: one size-byte Write-with-immediate with
+// NAK- and timeout-driven Go-Back-N recovery, RTO = 3·RTT and at most
+// window outstanding packets. It returns the completion time in clk's
+// domain and byte-verifies the payload on the virtual clock; on the
+// wall clock reading the buffer would race retransmission DMA still
+// in flight (see runWANReliability).
+func rcWrite(clk clock.Clock, devA, devB *nicsim.Device, ab, ba nicsim.Wire, rtt time.Duration, window, size int, seed int64) (time.Duration, error) {
 	recvCQ := nicsim.NewCQ(1<<12, true)
 	sendCQ := nicsim.NewCQ(1<<12, true)
 	var completed atomic.Int64
@@ -443,12 +443,12 @@ func runWANRC(clk clock.Clock, drop float64, size int, seed int64) (wanResult, e
 		clk.Notify()
 	})
 	qpA := nicsim.NewRCQP(devA, clk, 4096, nicsim.NewCQ(16, false), sendCQ, 3*rtt, 16)
-	qpA.SetSendWindow(wanRCWindow)
+	qpA.SetSendWindow(window)
 	qpB := nicsim.NewRCQP(devB, clk, 4096, recvCQ, nil, 3*rtt, 16)
 	defer qpA.Close()
 	defer qpB.Close()
-	qpA.Connect(link.AB, qpB.QPN())
-	qpB.Connect(link.BA, qpA.QPN())
+	qpA.Connect(ab, qpB.QPN())
+	qpB.Connect(ba, qpA.QPN())
 
 	data := wanPattern(size, byte(seed))
 	recvBuf := make([]byte, size)
@@ -467,12 +467,10 @@ func runWANRC(clk clock.Clock, drop float64, size int, seed int64) (wanResult, e
 		}
 		elapsed = clk.Since(start)
 	})
-	// See runWANReliability: buffer reads are only race-free on the
-	// virtual clock (RC retransmissions may still be in flight here).
 	if clk.IsVirtual() && !bytes.Equal(recvBuf, data) {
-		return wanResult{}, fmt.Errorf("rc-gbn: received data corrupted")
+		return 0, fmt.Errorf("rc-gbn: received data corrupted")
 	}
-	return wanResult{completion: elapsed, packets: link.AB.Tx.Load()}, nil
+	return elapsed, nil
 }
 
 // WANFunctional runs the §5.1-style WAN scenarios on the real

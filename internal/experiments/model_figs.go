@@ -36,7 +36,7 @@ func Fig2(o Options) (*Result, error) {
 		Header: []string{"payload", "p5", "p25", "median", "p75", "p95", "max"},
 		Notes: []string{
 			"paper: 1 KiB spans ~1e-4..1e-2; 8 KiB spans ~1e-3..>1e-1; spread ≈3 orders of magnitude",
-			"substitution: congested-ISP trial model (see DESIGN.md)",
+			"substitution: congested-ISP trial model (see README: Regenerating the paper's figures)",
 		},
 	}
 	results := campaign.RunCampaign(rng, payloads, 200)

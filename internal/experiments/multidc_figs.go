@@ -41,22 +41,10 @@ func multidcCoreCfg(clk clock.Clock) core.Config {
 	}
 }
 
-func multidcRelCfg(scheme string) reliability.Config {
-	return reliability.Config{
-		Alpha: 2,
-		NACK:  scheme == "sr-nack",
-		K:     4, M: 2, Code: "mds",
-		// RTT stays zero: netem derives it per flow from the route's
-		// propagation delay.
-	}
-}
-
-func multidcProto(scheme string) string {
-	if scheme == "ec" {
-		return "ec"
-	}
-	return "sr"
-}
+// multidcRelCfg is the reliability configuration of every multi-DC
+// flow. RTT stays zero: netem derives it per flow from the route's
+// propagation delay.
+var multidcRelCfg = reliability.Config{Alpha: 2, K: 4, M: 2, Code: "mds"}
 
 // chunkTally maps every dropped data packet back onto its bitmap
 // chunk by decoding the SDR immediate (§3.2.4: msgID | pktOffset |
@@ -159,7 +147,7 @@ func sessionsPacketsSent(ss []*reliability.Session) uint64 {
 // runMultiDCRing runs a ring allreduce across nDC datacenters joined
 // by bursty long-haul edges (Gilbert–Elliott wire loss), the
 // functional counterpart of the Fig 13 ring model on a real topology.
-func runMultiDCRing(clk clock.Clock, scheme string, nDC, vlen int, seed int64) (multidcStats, error) {
+func runMultiDCRing(clk clock.Clock, proto reliability.Protocol, nDC, vlen int, seed int64) (multidcStats, error) {
 	edge := netem.EdgeConfig{
 		DistanceKm: 3000, BandwidthBps: 50e9, BufferBytes: 4 << 20,
 		Loss: netem.LossSpec{P: 0.05, BurstLen: 8},
@@ -169,7 +157,7 @@ func runMultiDCRing(clk clock.Clock, scheme string, nDC, vlen int, seed int64) (
 		return multidcStats{}, err
 	}
 	coreCfg := multidcCoreCfg(clk)
-	relCfg := multidcRelCfg(scheme)
+	relCfg := multidcRelCfg
 	tally := newChunkTally(coreCfg)
 	tally.observe(topo)
 	ring, err := collective.BuildFunctionalRingWith(nDC, clk, func(link int) (*reliability.Session, error) {
@@ -190,7 +178,7 @@ func runMultiDCRing(clk clock.Clock, scheme string, nDC, vlen int, seed int64) (
 		}
 	}
 	start := clk.Now()
-	got, err := ring.Allreduce(inputs, multidcProto(scheme))
+	got, err := ring.Allreduce(inputs, proto)
 	if err != nil {
 		return multidcStats{}, err
 	}
@@ -212,7 +200,7 @@ func runMultiDCRing(clk clock.Clock, scheme string, nDC, vlen int, seed int64) (
 // runMultiDCTree broadcasts across a binary-tree physical topology
 // with the binomial logical schedule: several logical edges share
 // physical links, so their packets interleave in the same queues.
-func runMultiDCTree(clk clock.Clock, scheme string, nDC, size int, seed int64) (multidcStats, error) {
+func runMultiDCTree(clk clock.Clock, proto reliability.Protocol, nDC, size int, seed int64) (multidcStats, error) {
 	edge := netem.EdgeConfig{
 		DistanceKm: 1800, BandwidthBps: 50e9, BufferBytes: 4 << 20,
 		Loss: netem.LossSpec{P: 0.05, BurstLen: 8},
@@ -222,7 +210,7 @@ func runMultiDCTree(clk clock.Clock, scheme string, nDC, size int, seed int64) (
 		return multidcStats{}, err
 	}
 	coreCfg := multidcCoreCfg(clk)
-	relCfg := multidcRelCfg(scheme)
+	relCfg := multidcRelCfg
 	tally := newChunkTally(coreCfg)
 	tally.observe(topo)
 	tree, err := collective.BuildFunctionalTreeWith(nDC, clk, func(parent, child int) (*reliability.Session, error) {
@@ -235,7 +223,7 @@ func runMultiDCTree(clk clock.Clock, scheme string, nDC, size int, seed int64) (
 
 	data := wanPattern(size, byte(seed))
 	start := clk.Now()
-	out, err := tree.Broadcast(data, multidcProto(scheme))
+	out, err := tree.Broadcast(data, proto)
 	if err != nil {
 		return multidcStats{}, err
 	}
@@ -263,7 +251,7 @@ func runMultiDCTree(clk clock.Clock, scheme string, nDC, size int, seed int64) (
 // long-haul edge, so the bottleneck buffer overflows and tail-drops in
 // bursts — §2.1's ISP congestion — which the chunk bitmap then masks
 // (several consecutive packet drops per lost chunk).
-func runMultiDCDumbbell(clk clock.Clock, scheme string, size int, seed int64) (multidcStats, error) {
+func runMultiDCDumbbell(clk clock.Clock, proto reliability.Protocol, size int, seed int64) (multidcStats, error) {
 	access := netem.EdgeConfig{DistanceKm: 100, BandwidthBps: 100e9, BufferBytes: 8 << 20}
 	bottleneck := netem.EdgeConfig{DistanceKm: 3000, BandwidthBps: 80e9, BufferBytes: 512 << 10}
 	d, err := netem.Dumbbell(clk, 2, access, bottleneck, seed)
@@ -271,7 +259,7 @@ func runMultiDCDumbbell(clk clock.Clock, scheme string, size int, seed int64) (m
 		return multidcStats{}, err
 	}
 	coreCfg := multidcCoreCfg(clk)
-	relCfg := multidcRelCfg(scheme)
+	relCfg := multidcRelCfg
 	tally := newChunkTally(coreCfg)
 	tally.observe(d.Topology)
 
@@ -295,9 +283,7 @@ func runMultiDCDumbbell(clk clock.Clock, scheme string, size int, seed int64) (m
 		f := &flow{s: s, data: wanPattern(size, byte(seed+int64(i)))}
 		f.recvBuf = make([]byte, size)
 		f.mr = s.Pair.B.Ctx.RegMR(f.recvBuf)
-		if scheme == "ec" {
-			f.scratch = s.Pair.B.Ctx.RegMR(make([]byte, relCfg.ECScratchBytes(coreCfg.ChunkBytes, size)))
-		}
+		f.scratch = s.ScratchMR(proto, size)
 		flows[i] = f
 	}
 
@@ -307,19 +293,11 @@ func runMultiDCDumbbell(clk clock.Clock, scheme string, size int, seed int64) (m
 		f := f
 		actors = append(actors,
 			clock.NamedFunc{Name: fmt.Sprintf("dumbbell-flow%d/send", fi), Fn: func() {
-				if scheme == "ec" {
-					f.sendErr = f.s.A.WriteEC(f.data)
-				} else {
-					f.sendErr = f.s.A.WriteSR(f.data)
-				}
+				f.sendErr = proto.Write(f.s.A, f.data)
 				f.sendDone = clk.Since(start)
 			}},
 			clock.NamedFunc{Name: fmt.Sprintf("dumbbell-flow%d/recv", fi), Fn: func() {
-				if scheme == "ec" {
-					f.recvErr = f.s.B.ReceiveEC(f.mr, 0, size, f.scratch)
-				} else {
-					f.recvErr = f.s.B.ReceiveSR(f.mr, 0, size)
-				}
+				f.recvErr = proto.Receive(f.s.B, f.mr, 0, size, f.scratch)
 			}})
 	}
 	clock.JoinNamed(clk, actors...)
@@ -388,12 +366,13 @@ func MultiDCFunctional(o Options) (*Result, error) {
 	// like the WAN sweep, with byte-identical output for any worker
 	// count.
 	type dcCell struct {
-		kind, scheme string
+		kind  string
+		proto reliability.Protocol
 	}
 	var cells []dcCell
 	for _, kind := range []string{"ring", "tree", "dumbbell"} {
-		for _, scheme := range []string{"sr-nack", "ec"} {
-			cells = append(cells, dcCell{kind: kind, scheme: scheme})
+		for _, p := range []reliability.Protocol{reliability.ProtoSRNACK, reliability.ProtoEC} {
+			cells = append(cells, dcCell{kind: kind, proto: p})
 		}
 	}
 	rows := make([][]string, len(cells))
@@ -414,20 +393,20 @@ func MultiDCFunctional(o Options) (*Result, error) {
 		switch c.kind {
 		case "ring":
 			scenario = fmt.Sprintf("ring-%d", ringN)
-			st, err = runMultiDCRing(sclk, c.scheme, ringN, ringVlen, seed)
+			st, err = runMultiDCRing(sclk, c.proto, ringN, ringVlen, seed)
 		case "tree":
 			scenario = fmt.Sprintf("tree-%d", treeN)
-			st, err = runMultiDCTree(sclk, c.scheme, treeN, treeBytes, seed)
+			st, err = runMultiDCTree(sclk, c.proto, treeN, treeBytes, seed)
 		default:
 			scenario = "dumbbell"
-			st, err = runMultiDCDumbbell(sclk, c.scheme, dumbbellBytes, seed)
+			st, err = runMultiDCDumbbell(sclk, c.proto, dumbbellBytes, seed)
 		}
 		if err != nil {
-			errs[i] = fmt.Errorf("multidc %s %s: %w", c.kind, c.scheme, err)
+			errs[i] = fmt.Errorf("multidc %s %s: %w", c.kind, c.proto, err)
 			failed.Store(true)
 			return
 		}
-		rows[i] = st.row(scenario, c.scheme)
+		rows[i] = st.row(scenario, c.proto.String())
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"sdrrdma/internal/clock"
 	"sdrrdma/internal/nicsim"
+	"sdrrdma/internal/reliability"
 )
 
 // diamond builds S–M1–D (primary, added first so BFS prefers it) and
@@ -310,7 +311,7 @@ func TestFlapRerouteInFlightTransfer(t *testing.T) {
 	mr := flow.Pair.B.Ctx.RegMR(recvBuf)
 	var sendErr, recvErr error
 	clock.Join(clk,
-		func() { sendErr = flow.A.WriteSR(data) },
+		func() { sendErr = reliability.ProtoSRNACK.Write(flow.A, data) },
 		func() { recvErr = flow.B.ReceiveSR(mr, 0, size) },
 	)
 	if sendErr != nil || recvErr != nil {
@@ -426,7 +427,7 @@ func TestDoubleFlapTransfer(t *testing.T) {
 	mr := flow.Pair.B.Ctx.RegMR(recvBuf)
 	var sendErr, recvErr error
 	clock.Join(clk,
-		func() { sendErr = flow.A.WriteSR(data) },
+		func() { sendErr = reliability.ProtoSRNACK.Write(flow.A, data) },
 		func() { recvErr = flow.B.ReceiveSR(mr, 0, size) },
 	)
 	if sendErr != nil || recvErr != nil {

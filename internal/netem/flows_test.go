@@ -34,7 +34,7 @@ func runSmokeTransfer(t *testing.T, clk clock.Clock, s *reliability.Session, siz
 	mr := s.Pair.B.Ctx.RegMR(recvBuf)
 	var sendErr, recvErr error
 	clock.Join(clk,
-		func() { sendErr = s.A.WriteSR(data) },
+		func() { sendErr = reliability.ProtoSRNACK.Write(s.A, data) },
 		func() { recvErr = s.B.ReceiveSR(mr, 0, size) },
 	)
 	if sendErr != nil || recvErr != nil {
@@ -112,7 +112,7 @@ func TestDumbbellHundredConcurrentFlows(t *testing.T) {
 			mr := s.Pair.B.Ctx.RegMR(recvs[i])
 			actors = append(actors,
 				clock.NamedFunc{Name: fmt.Sprintf("flow%d/tx", i), Fn: func() {
-					errs[2*i] = s.A.WriteSR(datas[i])
+					errs[2*i] = reliability.ProtoSRNACK.Write(s.A, datas[i])
 				}},
 				clock.NamedFunc{Name: fmt.Sprintf("flow%d/rx", i), Fn: func() {
 					errs[2*i+1] = s.B.ReceiveSR(mr, 0, size)

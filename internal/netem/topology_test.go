@@ -142,7 +142,7 @@ func flowCoreCfg() core.Config {
 }
 
 func flowRelCfg() reliability.Config {
-	return reliability.Config{Alpha: 2, NACK: true, K: 4, M: 2, Code: "mds"}
+	return reliability.Config{Alpha: 2, K: 4, M: 2, Code: "mds"}
 }
 
 // A reliable SR-NACK transfer across a multi-hop lossy netem path
@@ -173,7 +173,7 @@ func runDumbbellFlow(t *testing.T, seed int64) string {
 	mr := s.Pair.B.Ctx.RegMR(recvBuf)
 	var sendErr, recvErr error
 	clock.Join(clk,
-		func() { sendErr = s.A.WriteSR(data) },
+		func() { sendErr = reliability.ProtoSRNACK.Write(s.A, data) },
 		func() { recvErr = s.B.ReceiveSR(mr, 0, size) },
 	)
 	if sendErr != nil || recvErr != nil {

@@ -29,6 +29,11 @@ var (
 	ErrPeerDead = errors.New("reliability: peer unresponsive")
 )
 
+// ErrGlobalTimeout is returned when an operation exceeds
+// Config.GlobalTimeout (§4.1.2's deadlock guard). It matches
+// errors.Is(err, ErrTimeout).
+var ErrGlobalTimeout = fmt.Errorf("%w: global timeout exceeded", ErrTimeout)
+
 // Abort cancels the endpoint: the blocked (or next) operation unwinds
 // and returns ErrAborted wrapping cause. The first cause sticks until
 // the underlying QP is Reset (i.e. until the deployment is re-leased);
@@ -78,7 +83,7 @@ func startErr(op string, err error) error {
 	return fmt.Errorf("reliability: %s: %w", op, err)
 }
 
-// aborted is stored on the Endpoint (sr.go) — alias here for doc
+// aborted is stored on the Endpoint (endpoint.go) — alias here for doc
 // proximity: the pointer holds the first Abort cause.
 type abortState = atomic.Pointer[error]
 

@@ -44,8 +44,9 @@ import (
 type Scheme byte
 
 const (
-	// SchemeSR runs the segment under Selective Repeat with NACK fast
-	// retransmission — zero overhead bytes, recovery costs round trips.
+	// SchemeSR runs the segment under Selective Repeat with
+	// ack-evidence repair — zero overhead bytes, recovery costs round
+	// trips.
 	SchemeSR Scheme = iota
 	// SchemeEC runs the segment erasure-coded — overhead bytes buy
 	// recovery without retransmission round trips.
@@ -296,48 +297,16 @@ func (a *Adaptor) Observe(s SegStats) {
 // operation sequence numbers (which never reach the top bit).
 const planBit = uint64(1) << 63
 
-// adaptiveGeom is the common segment arithmetic of both sides.
-type adaptiveGeom struct {
-	chunkBytes int
-	segBytes   int
-	total      int
-	nsegs      int
-}
-
-func newAdaptiveGeom(acfg AdaptorConfig, chunkBytes, total int) adaptiveGeom {
-	segBytes := acfg.SegmentChunks * chunkBytes
-	nsegs := (total + segBytes - 1) / segBytes
-	if nsegs == 0 {
-		nsegs = 1
-	}
-	return adaptiveGeom{chunkBytes: chunkBytes, segBytes: segBytes, total: total, nsegs: nsegs}
-}
-
-// segSize returns the real byte size of segment i.
-func (g adaptiveGeom) segSize(i int) int {
-	lo := i * g.segBytes
-	hi := lo + g.segBytes
-	if hi > g.total {
-		hi = g.total
-	}
-	return hi - lo
-}
-
-// segParityBytes is the per-segment parity region size: the worst case
-// over the ladder's EC rungs (each segment is one submessage, so the
-// region holds M chunks).
+// segParityBytes is the per-segment parity region size: the most
+// protective rung's M chunks (each segment is one submessage).
 func segParityBytes(acfg AdaptorConfig, chunkBytes int) int {
-	max := 0
-	for _, m := range acfg.Ladder {
-		if m.Scheme != SchemeEC {
-			continue
-		}
-		g := newECGeometry(acfg.SegmentChunks*chunkBytes, chunkBytes, m.K, m.M)
-		if b := g.L * g.parityBytes(); b > max {
-			max = b
+	m := 0
+	for _, r := range acfg.Ladder {
+		if r.Scheme == SchemeEC {
+			m = max(m, r.M)
 		}
 	}
-	return max
+	return m * chunkBytes
 }
 
 // AdaptiveScratchBytes returns the parity scratch ReceiveAdaptive
@@ -347,32 +316,59 @@ func segParityBytes(acfg AdaptorConfig, chunkBytes int) int {
 // protective rung.
 func AdaptiveScratchBytes(acfg AdaptorConfig, chunkBytes, msgBytes int) int {
 	acfg = acfg.WithDefaults()
-	g := newAdaptiveGeom(acfg, chunkBytes, msgBytes)
-	return g.nsegs * segParityBytes(acfg, chunkBytes)
+	return newSplit(msgBytes, acfg.SegmentChunks*chunkBytes).n * segParityBytes(acfg, chunkBytes)
 }
 
 // --- sender ----------------------------------------------------------------
 
 // adaptiveSegSender is one open segment on the sender.
 type adaptiveSegSender struct {
-	idx  int
+	// srSender is the segment's stream; under SR it also tracks the
+	// segment's chunks.
+	srSender
 	mode Mode
-	data []byte
-	opID uint64
 	acks chan ctrlMsg
-
-	// SR state (and the EC fallback stream shares stream/chunks).
-	stream *core.SendStream
-	chunks []chunkState
-	acked  int
-
 	done bool
+}
+
+// apply handles one control message addressed to the segment.
+func (s *adaptiveSegSender) apply(e *Endpoint, m ctrlMsg) error {
+	switch m.typ {
+	case msgSRAck:
+		if s.mode.Scheme != SchemeSR {
+			return nil
+		}
+		s.applyAck(m)
+		if s.acked >= len(s.chunks) {
+			s.done = true
+		}
+	case msgECAck:
+		if s.mode.Scheme == SchemeEC {
+			s.done = true
+		}
+	case msgECNack:
+		if s.mode.Scheme != SchemeEC || s.done {
+			return nil
+		}
+		// Parity was not enough: selective repeat of the missing data
+		// chunks through the still-open segment stream.
+		for _, entry := range m.nackSubmsgs {
+			if entry.submsg != 0 {
+				continue // one submessage per segment
+			}
+			if err := e.resendMissing(s.sendStream, entry.missing); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // WriteAdaptive reliably writes data under the adaptive segment
 // protocol. acfg must match the receiver's Adaptor configuration
 // (SegmentChunks, Window and Ladder[0] are load-bearing; the rest of
-// the ladder is learned from plan messages).
+// the ladder is learned from plan messages, up to the parity size of
+// acfg's most protective rung).
 func (e *Endpoint) WriteAdaptive(acfg AdaptorConfig, data []byte) error {
 	e.opMu.Lock()
 	defer e.opMu.Unlock()
@@ -383,177 +379,97 @@ func (e *Endpoint) WriteAdaptive(acfg AdaptorConfig, data []byte) error {
 	cfg := e.Cfg
 	clk := e.clock()
 	chunkBytes := e.QP.Config().ChunkBytes
-	g := newAdaptiveGeom(acfg, chunkBytes, len(data))
+	g := newSplit(len(data), acfg.SegmentChunks*chunkBytes)
 
 	// Erasure codes per distinct EC rung, built once.
-	codes := e.cachedModeCodes()
 	for _, m := range acfg.Ladder {
 		if m.Scheme != SchemeEC {
 			continue
 		}
-		if _, ok := codes[m]; ok {
-			continue
+		if _, err := e.code(m.K, m.M); err != nil {
+			return err
 		}
-		code, err := ecCodeFor(cfg, m)
+	}
+
+	// Staging: segment i tracks its chunks in its range of the chunk
+	// slab and encodes its parity into region i of the parity slab.
+	segs := scratchSlice(&e.scr.adSend, g.n)
+	chunks := scratchSlice(&e.scr.srChunks, (len(data)+chunkBytes-1)/chunkBytes)
+	perSeg := segParityBytes(acfg, chunkBytes)
+	paritySlab := scratchN(&e.scr.paritySlab, g.n*perSeg)
+	plans := make([]Mode, g.n)
+	planKnown := make([]bool, g.n)
+	plans[0], planKnown[0] = acfg.Ladder[0], true
+
+	start := func(i int) error {
+		lo, hi := g.bytes(i)
+		c0 := i * acfg.SegmentChunks
+		t, acks, err := e.startSR("adaptive segment", i, data[lo:hi], chunks[c0:c0+(hi-lo+chunkBytes-1)/chunkBytes])
 		if err != nil {
 			return err
 		}
-		codes[m] = code
-	}
-
-	segs := make([]*adaptiveSegSender, g.nsegs)
-	plans := make([]Mode, g.nsegs)
-	planKnown := make([]bool, g.nsegs)
-	plans[0], planKnown[0] = acfg.Ladder[0], true
-
-	start := func(i int) (*adaptiveSegSender, error) {
-		lo := i * g.segBytes
-		seg := &adaptiveSegSender{idx: i, mode: plans[i], data: data[lo : lo+g.segSize(i)]}
-		st, err := e.QP.SendStreamStartTimeout(len(seg.data), 0, cfg.GlobalTimeout)
-		if err != nil {
-			return nil, startErr(fmt.Sprintf("adaptive segment %d stream", i), err)
+		segs[i] = adaptiveSegSender{srSender: t, mode: plans[i], acks: acks}
+		if m := plans[i]; m.Scheme == SchemeEC {
+			return e.sendParity("adaptive segment", i, m.K, m.M, data[lo:hi], paritySlab[i*perSeg:i*perSeg+m.M*chunkBytes])
 		}
-		seg.stream = st
-		seg.opID = st.Seq()
-		seg.acks = e.CP.register(seg.opID)
-		if err := st.Continue(0, seg.data); err != nil {
-			return nil, err
-		}
-		now := clk.Now()
-		nchunks := (len(seg.data) + chunkBytes - 1) / chunkBytes
-		seg.chunks = make([]chunkState, nchunks)
-		for c := range seg.chunks {
-			seg.chunks[c].lastSent = now
-		}
-		if seg.mode.Scheme == SchemeEC {
-			parity, err := encodeSegParity(codes[seg.mode], seg.mode, seg.data, chunkBytes)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := e.QP.SendPostTimeout(parity, 0, cfg.GlobalTimeout); err != nil {
-				return nil, startErr(fmt.Sprintf("adaptive segment %d parity", i), err)
-			}
-		}
-		return seg, nil
+		return nil
 	}
 
 	// Segment 0 starts unconditionally (the receiver posts it on entry)
 	// and anchors the plan stream's opID on both sides.
-	seg0, err := start(0)
-	if err != nil {
+	if err := start(0); err != nil {
 		return err
 	}
-	segs[0] = seg0
 	started := 1
-	planID := planBit | seg0.opID
+	planID := planBit | segs[0].key
 	planCh := e.CP.register(planID)
 	defer e.CP.unregister(planID)
 	defer func() {
-		for _, s := range segs {
-			if s != nil && !s.done {
-				e.CP.unregister(s.opID)
+		for i := 0; i < started; i++ {
+			if !segs[i].done {
+				e.CP.unregister(segs[i].key)
 			}
 		}
 	}()
 
-	applyPlan := func(m ctrlMsg) {
+	applyPlan := func(m ctrlMsg) error {
 		if m.typ != msgPlan {
-			return
+			return nil
 		}
 		i := int(m.planSeg)
-		if i >= g.nsegs || i < started {
-			return // stale or already committed
+		if i >= g.n || i < started {
+			return nil // stale or already committed
 		}
 		mode := Mode{Scheme: Scheme(m.planScheme)}
 		if mode.Scheme == SchemeEC {
 			mode.K, mode.M = int(m.planK), int(m.planM)
-			if _, ok := codes[mode]; !ok {
-				code, err := ecCodeFor(cfg, mode)
-				if err != nil {
-					return // unusable plan: keep waiting for a sane one
-				}
-				codes[mode] = code
+			if mode.K != acfg.SegmentChunks || mode.M*chunkBytes > perSeg {
+				return nil // unusable plan: keep waiting for a sane one
+			}
+			if _, err := e.code(mode.K, mode.M); err != nil {
+				return nil
 			}
 		}
 		plans[i], planKnown[i] = mode, true
-	}
-
-	resend := func(s *adaptiveSegSender, chunk int, cause int64) error {
-		lo := chunk * chunkBytes
-		hi := lo + chunkBytes
-		if hi > len(s.data) {
-			hi = len(s.data)
-		}
-		s.chunks[chunk].lastSent = clk.Now()
-		e.Retransmits.Add(1)
-		e.probe(telemetry.EvRetransmit, int64(chunk), cause, int64(s.idx), 0)
-		return s.stream.Continue(lo, s.data[lo:hi])
-	}
-
-	applyAck := func(s *adaptiveSegSender) func(ctrlMsg) {
-		return func(m ctrlMsg) {
-			switch m.typ {
-			case msgSRAck:
-				if s.mode.Scheme != SchemeSR {
-					return
-				}
-				for c := 0; c < int(m.cumAck) && c < len(s.chunks); c++ {
-					if !s.chunks[c].acked {
-						s.chunks[c].acked = true
-						s.acked++
-					}
-				}
-				for c := 0; c < len(s.chunks) && c/8 < len(m.sack); c++ {
-					if m.sack[c/8]&(1<<uint(c%8)) != 0 && !s.chunks[c].acked {
-						s.chunks[c].acked = true
-						s.acked++
-					}
-				}
-				if s.acked >= len(s.chunks) {
-					s.done = true
-				}
-			case msgECAck:
-				if s.mode.Scheme == SchemeEC {
-					s.done = true
-				}
-			case msgECNack:
-				if s.mode.Scheme != SchemeEC || s.done {
-					return
-				}
-				// Parity was not enough: selective repeat of the missing
-				// data chunks through the still-open segment stream.
-				for _, entry := range m.nackSubmsgs {
-					if entry.submsg != 0 {
-						continue // one submessage per segment
-					}
-					for _, c := range entry.missing {
-						if int(c) < len(s.chunks) {
-							resend(s, int(c), telemetry.CauseNack)
-						}
-					}
-				}
-			}
-		}
+		return nil
 	}
 
 	rto := cfg.RTO()
 	deadline := clk.Now().Add(cfg.GlobalTimeout)
 	completed := 0
-	for completed < g.nsegs {
+	for completed < g.n {
 		epoch := clk.Epoch()
 		if err := e.abortErr(); err != nil {
 			return fmt.Errorf("adaptive write %d B: %w", len(data), err)
 		}
-		drain(planCh, applyPlan)
+		_, _ = drain(planCh, applyPlan) // applyPlan skips unusable plans; it never fails
 		// Start every segment whose plan is known and whose receive is
 		// already posted: SendReady keeps this loop non-blocking, so a
 		// stalled head segment can still be pumped below.
-		for started < g.nsegs && planKnown[started] && e.QP.SendReady() {
-			s, err := start(started)
-			if err != nil {
+		for started < g.n && planKnown[started] && e.QP.SendReady() {
+			if err := start(started); err != nil {
 				return err
 			}
-			segs[started] = s
 			started++
 		}
 		now := clk.Now()
@@ -569,22 +485,24 @@ func (e *Endpoint) WriteAdaptive(acfg AdaptorConfig, data []byte) error {
 		// and turns every standing queue into spurious retransmissions.
 		maxAcked := -1
 		for i := completed; i < started; i++ {
-			s := segs[i]
+			s := &segs[i]
 			if s.done {
 				maxAcked = i
 				continue
 			}
-			drain(s.acks, applyAck(s))
+			if _, err := drain(s.acks, func(m ctrlMsg) error { return s.apply(e, m) }); err != nil {
+				return err
+			}
 			if s.done {
-				s.stream.End()
-				e.CP.unregister(s.opID)
+				s.st.End()
+				e.CP.unregister(s.key)
 			}
 			if s.done || s.acked > 0 {
 				maxAcked = i
 			}
 		}
 		for i := completed; i < started; i++ {
-			s := segs[i]
+			s := &segs[i]
 			if s.done || s.mode.Scheme != SchemeSR {
 				continue
 			}
@@ -593,54 +511,36 @@ func (e *Endpoint) WriteAdaptive(acfg AdaptorConfig, data []byte) error {
 			// segment is, when a later segment has acked anything.
 			limit := len(s.chunks)
 			if i >= maxAcked {
-				limit = -1
-				for c := len(s.chunks) - 1; c >= 0; c-- {
-					if s.chunks[c].acked {
-						limit = c
-						break
-					}
-				}
+				limit = s.frontier()
 			}
 			for c := 0; c < limit; c++ {
 				if !s.chunks[c].acked && !s.chunks[c].repaired {
 					s.chunks[c].repaired = true
-					if err := resend(s, c, telemetry.CauseHole); err != nil {
+					if err := s.resend(e, c, telemetry.CauseHole); err != nil {
 						return err
 					}
 				}
 			}
 			// RTO sweep: the last resort for repairs that were
 			// themselves lost and for tail holes with no later evidence.
-			// The per-chunk deadline backs off exponentially with
-			// deterministic jitter (retryRTO).
-			for c := range s.chunks {
-				if s.chunks[c].acked {
-					continue
-				}
-				if now.Sub(s.chunks[c].lastSent) >= retryRTO(rto, s.chunks[c].retries, s.opID<<16+uint64(c)) {
-					if s.chunks[c].retries < maxBackoffShift {
-						s.chunks[c].retries++
-					}
-					if err := resend(s, c, telemetry.CauseRTO); err != nil {
-						return err
-					}
-				}
+			if err := s.rtoSweep(e, now, rto); err != nil {
+				return err
 			}
 		}
 		for completed < started && segs[completed].done {
 			completed++
 		}
-		if completed >= g.nsegs {
+		if completed >= g.n {
 			break
 		}
 		if now.After(deadline) {
 			return fmt.Errorf("%w: adaptive write %d B, %d/%d segments done",
-				ErrGlobalTimeout, len(data), completed, g.nsegs)
+				ErrGlobalTimeout, len(data), completed, g.n)
 		}
 		if e.tel.inflight != nil {
 			out := 0
 			for i := completed; i < started; i++ {
-				if s := segs[i]; !s.done {
+				if s := &segs[i]; !s.done {
 					out += len(s.chunks) - s.acked
 				}
 			}
@@ -661,63 +561,22 @@ func rungOf(acfg AdaptorConfig, m Mode) int {
 	return -1
 }
 
-// ecCodeFor instantiates cfg's code family with the mode's split.
-func ecCodeFor(cfg Config, m Mode) (ec.Code, error) {
-	c := cfg
-	c.K, c.M = m.K, m.M
-	return c.NewCode()
-}
-
-// encodeSegParity encodes one segment's parity submessage (the segment
-// is exactly one (K, M) submessage; virtual zero chunks pad the tail).
-func encodeSegParity(code ec.Code, m Mode, data []byte, chunkBytes int) ([]byte, error) {
-	g := newECGeometry(len(data), chunkBytes, m.K, m.M)
-	real := g.realChunks(0)
-	dataShards := make([][]byte, g.k)
-	zeroChunk := make([]byte, chunkBytes)
-	var tail []byte
-	for j := 0; j < g.k; j++ {
-		if j >= real {
-			dataShards[j] = zeroChunk
-			continue
-		}
-		lo := j * chunkBytes
-		hi := lo + chunkBytes
-		if hi > len(data) {
-			tail = make([]byte, chunkBytes)
-			copy(tail, data[lo:])
-			dataShards[j] = tail
-			continue
-		}
-		dataShards[j] = data[lo:hi]
-	}
-	parityBuf := make([]byte, g.parityBytes())
-	parityShards := make([][]byte, g.m)
-	for j := range parityShards {
-		parityShards[j] = parityBuf[j*chunkBytes : (j+1)*chunkBytes]
-	}
-	if err := code.Encode(dataShards, parityShards); err != nil {
-		return nil, fmt.Errorf("reliability: adaptive parity encode: %w", err)
-	}
-	return parityBuf, nil
-}
-
 // --- receiver --------------------------------------------------------------
 
 // adaptiveSegRecv is one posted segment on the receiver.
 type adaptiveSegRecv struct {
 	idx  int
 	mode Mode
-	size int
+	// data is the segment's region of the receive buffer, parity its
+	// parity region of the scratch buffer (SchemeEC only).
+	data, parity []byte
 
 	dataH   *core.RecvHandle
 	parityH *core.RecvHandle // SchemeEC only
 
 	code      ec.Code
-	g         ecGeometry
 	recovered bool
-	decoded   bool
-	missing   int // data chunks absent at recovery time
+	missing   int // data chunks absent at recovery; nonzero = decoded
 
 	sawData  bool
 	seen     uint64 // packets observed at last tick (progress gate)
@@ -732,45 +591,52 @@ type adaptiveSegRecv struct {
 func (e *Endpoint) ReceiveAdaptive(ad *Adaptor, mr *nicsim.MR, offset uint64, size int, scratch *nicsim.MR) error {
 	e.opMu.Lock()
 	defer e.opMu.Unlock()
+	return e.receiveAdaptive(ad, mr, offset, size, scratch)
+}
+
+// receiveAdaptive is ReceiveAdaptive with opMu held.
+func (e *Endpoint) receiveAdaptive(ad *Adaptor, mr *nicsim.MR, offset uint64, size int, scratch *nicsim.MR) error {
 	cfg := e.Cfg
 	acfg := ad.cfg
 	clk := e.clock()
 	chunkBytes := e.QP.Config().ChunkBytes
-	g := newAdaptiveGeom(acfg, chunkBytes, size)
-	perSegScratch := segParityBytes(acfg, chunkBytes)
-	if need := uint64(g.nsegs * perSegScratch); scratch.Span() < need {
+	g := newSplit(size, acfg.SegmentChunks*chunkBytes)
+	perSeg := segParityBytes(acfg, chunkBytes)
+	if need := uint64(g.n * perSeg); scratch.Span() < need {
 		return fmt.Errorf("reliability: adaptive scratch %d B, need %d", scratch.Span(), need)
 	}
 
-	codes := e.cachedModeCodes()
-	segs := make([]*adaptiveSegRecv, g.nsegs)
+	segs := scratchSlice(&e.scr.adRecv, g.n)
+	buf := mr.Bytes()
+	scratchBuf := scratch.Bytes()
 	var planID uint64
 	fto := cfg.FTO()
 
-	post := func(i int) (*adaptiveSegRecv, error) {
+	posted := 0
+	post := func() error {
+		i := posted
 		mode := ad.Mode()
 		if i == 0 {
 			mode = acfg.Ladder[0] // the no-rendezvous convention
 		}
-		s := &adaptiveSegRecv{idx: i, mode: mode, size: g.segSize(i)}
+		s := &segs[i]
+		*s = adaptiveSegRecv{idx: i, mode: mode}
+		lo, hi := g.bytes(i)
+		lo, hi = lo+int(offset), hi+int(offset)
 		var err error
-		s.dataH, err = e.QP.RecvPost(mr, offset+uint64(i*g.segBytes), s.size)
+		s.dataH, err = e.QP.RecvPost(mr, uint64(lo), hi-lo)
 		if err != nil {
-			return nil, fmt.Errorf("reliability: adaptive segment %d recv: %w", i, err)
+			return fmt.Errorf("reliability: adaptive segment %d recv: %w", i, err)
 		}
+		s.data = buf[lo:hi]
 		if mode.Scheme == SchemeEC {
-			s.g = newECGeometry(s.size, chunkBytes, mode.K, mode.M)
-			code, ok := codes[mode]
-			if !ok {
-				if code, err = ecCodeFor(cfg, mode); err != nil {
-					return nil, err
-				}
-				codes[mode] = code
+			if s.code, err = e.code(mode.K, mode.M); err != nil {
+				return err
 			}
-			s.code = code
-			s.parityH, err = e.QP.RecvPost(scratch, uint64(i*perSegScratch), s.g.parityBytes())
+			s.parity = scratchBuf[i*perSeg : i*perSeg+mode.M*chunkBytes]
+			s.parityH, err = e.QP.RecvPost(scratch, uint64(i*perSeg), len(s.parity))
 			if err != nil {
-				return nil, fmt.Errorf("reliability: adaptive segment %d parity recv: %w", i, err)
+				return fmt.Errorf("reliability: adaptive segment %d parity recv: %w", i, err)
 			}
 			// The first fallback deadline must cover the posting-ahead
 			// pipeline lag — this segment is posted up to Window segments
@@ -780,158 +646,51 @@ func (e *Endpoint) ReceiveAdaptive(ad *Adaptor, mr *nicsim.MR, offset uint64, si
 			// gate in tick re-arms the timer from observed deliveries.
 			s.nextNack = clk.Now().Add(fto + cfg.RTO())
 		}
-		return s, nil
-	}
-
-	sendPlan := func(s *adaptiveSegRecv) {
-		m := ctrlMsg{typ: msgPlan, opID: planID, planSeg: uint32(s.idx), planScheme: byte(s.mode.Scheme)}
-		if s.mode.Scheme == SchemeEC {
-			m.planK, m.planM = uint16(s.mode.K), uint16(s.mode.M)
+		if i == 0 {
+			// Segment 0's receive sequence number anchors the plan
+			// stream's opID, which every later plan needs.
+			planID = planBit | s.dataH.Seq()
+		} else {
+			e.sendPlan(planID, s)
 		}
-		e.CP.send(m)
+		e.probe(telemetry.EvSegPlan, int64(i), int64(rungOf(acfg, mode)), 0, 0)
+		posted++
+		return nil
 	}
-
-	posted := 0
 	postAhead := func(head int) error {
-		for posted < g.nsegs && posted < head+acfg.Window {
-			s, err := post(posted)
-			if err != nil {
+		for posted < g.n && posted < head+acfg.Window {
+			if err := post(); err != nil {
 				return err
 			}
-			segs[posted] = s
-			if posted > 0 {
-				sendPlan(s)
-			}
-			e.probe(telemetry.EvSegPlan, int64(s.idx), int64(rungOf(acfg, s.mode)), 0, 0)
-			posted++
 		}
 		return nil
 	}
-	// Segment 0 goes first alone: its receive's sequence number anchors
-	// the plan stream's opID, which every later plan needs.
-	seg0, err := post(0)
-	if err != nil {
-		return err
-	}
-	segs[0] = seg0
-	posted = 1
-	planID = planBit | seg0.dataH.Seq()
-	e.probe(telemetry.EvSegPlan, 0, int64(rungOf(acfg, seg0.mode)), 0, 0)
 	if err := postAhead(0); err != nil {
 		return err
 	}
 
-	scratchBuf := scratch.Bytes()
-	buf := mr.Bytes()
-	zeroChunk := make([]byte, chunkBytes)
-	tailScratch := make([]byte, chunkBytes)
-	var present, presentCopy []bool
-	var shards [][]byte
-	var missBuf []int
-
 	// tryRecover reports whether segment s is fully delivered (SR) or
 	// recoverable/recovered (EC), decoding in place on first success.
 	tryRecover := func(s *adaptiveSegRecv) bool {
-		if s.recovered {
-			return true
+		switch {
+		case s.recovered:
+		case s.mode.Scheme == SchemeSR:
+			s.recovered = s.dataH.Done()
+		default:
+			s.recovered, s.missing = e.scr.recoverSub(s.code, s.mode.K, s.mode.M, chunkBytes,
+				s.data, s.parity, s.dataH, s.parityH)
 		}
-		if s.mode.Scheme == SchemeSR {
-			if s.dataH.Done() {
-				s.recovered = true
-			}
-			return s.recovered
-		}
-		eg := s.g
-		real := eg.realChunks(0)
-		dataBM := s.dataH.Bitmap()
-		arrived := 0
-		for j := 0; j < real; j++ {
-			if dataBM.Test(j) {
-				arrived++
-			}
-		}
-		if arrived == real {
-			s.recovered = true
-			s.missing = 0
-			return true
-		}
-		if n := eg.k + eg.m; len(present) < n {
-			present = make([]bool, n)
-			presentCopy = make([]bool, n)
-			shards = make([][]byte, n)
-		}
-		for j := 0; j < real; j++ {
-			present[j] = dataBM.Test(j)
-		}
-		for j := real; j < eg.k; j++ {
-			present[j] = true
-		}
-		parityBM := s.parityH.Bitmap()
-		for j := 0; j < eg.m; j++ {
-			present[eg.k+j] = parityBM.Test(j)
-		}
-		if !s.code.CanRecover(present[:eg.k+eg.m]) {
-			return false
-		}
-		subBase := int(offset) + s.idx*g.segBytes
-		var tailShard []byte
-		tailChunk := -1
-		for j := 0; j < eg.k; j++ {
-			if j >= real {
-				shards[j] = zeroChunk
-				continue
-			}
-			lo := j * chunkBytes
-			hi := lo + chunkBytes
-			if hi > s.size {
-				tailShard = tailScratch
-				n := copy(tailShard, buf[subBase+lo:subBase+s.size])
-				for b := n; b < chunkBytes; b++ {
-					tailShard[b] = 0
-				}
-				shards[j] = tailShard
-				tailChunk = j
-				continue
-			}
-			shards[j] = buf[subBase+lo : subBase+hi]
-		}
-		for j := 0; j < eg.m; j++ {
-			lo := s.idx*perSegScratch + j*chunkBytes
-			shards[eg.k+j] = scratchBuf[lo : lo+chunkBytes]
-		}
-		copy(presentCopy[:eg.k+eg.m], present[:eg.k+eg.m])
-		if err := s.code.Reconstruct(shards[:eg.k+eg.m], presentCopy[:eg.k+eg.m]); err != nil {
-			return false
-		}
-		if tailShard != nil && !present[tailChunk] {
-			lo := tailChunk * chunkBytes
-			copy(buf[subBase+lo:subBase+s.size], tailShard[:s.size-lo])
-		}
-		s.recovered = true
-		s.decoded = true
-		s.missing = real - arrived
-		return true
+		return s.recovered
 	}
 
-	// finalize sends the segment's final control message and hands its
-	// slots to the background retire, then feeds the adaptor.
+	// finalize finishes the segment (final control message, background
+	// retire), then feeds the adaptor.
 	finalize := func(s *adaptiveSegRecv) {
-		var final ctrlMsg
-		handles := []*core.RecvHandle{s.dataH}
 		if s.mode.Scheme == SchemeSR {
-			bm := s.dataH.Bitmap()
-			final = ctrlMsg{
-				typ:    msgSRAck,
-				opID:   s.dataH.Seq(),
-				cumAck: uint32(bm.CumulativeCount()),
-				sack:   bm.Snapshot(nil),
-			}
+			e.finish(srAck(s.dataH, nil), s.dataH)
 		} else {
-			final = ctrlMsg{typ: msgECAck, opID: s.dataH.Seq()}
-			handles = append(handles, s.parityH)
+			e.finish(ctrlMsg{typ: msgECAck, opID: s.dataH.Seq()}, s.dataH, s.parityH)
 		}
-		e.CP.send(final)
-		e.retire(final, handles...)
 		stats := SegStats{
 			Seg:         s.idx,
 			Mode:        s.mode,
@@ -940,7 +699,7 @@ func (e *Endpoint) ReceiveAdaptive(ad *Adaptor, mr *nicsim.MR, offset uint64, si
 			Marked:      s.dataH.MarkedPackets(),
 			DataChunks:  s.dataH.NumChunks(),
 			MissingData: s.missing,
-			Decoded:     s.decoded,
+			Decoded:     s.missing > 0,
 		}
 		if s.parityH != nil {
 			stats.Arrived += uint64(s.parityH.PacketBitmap().Count())
@@ -949,7 +708,7 @@ func (e *Endpoint) ReceiveAdaptive(ad *Adaptor, mr *nicsim.MR, offset uint64, si
 		}
 		before := ad.Rung()
 		ad.Observe(stats)
-		e.noteGoodput(int64(s.size))
+		e.noteGoodput(int64(len(s.data)))
 		if e.tel.sink != nil {
 			lossPPM := int64(stats.lossSignal() * 1e6)
 			markPPM := int64(stats.markFrac() * 1e6)
@@ -968,18 +727,13 @@ func (e *Endpoint) ReceiveAdaptive(ad *Adaptor, mr *nicsim.MR, offset uint64, si
 			s.sawData = true
 		}
 		if s.idx > 0 && !s.sawData {
-			sendPlan(s) // plan may have been lost; data cannot flow without it
+			e.sendPlan(planID, s) // plan may have been lost; data cannot flow without it
 		}
 		switch s.mode.Scheme {
 		case SchemeSR:
-			bm := s.dataH.Bitmap()
-			s.sackBuf = bm.Snapshot(s.sackBuf)
-			e.CP.send(ctrlMsg{
-				typ:    msgSRAck,
-				opID:   s.dataH.Seq(),
-				cumAck: uint32(bm.CumulativeCount()),
-				sack:   s.sackBuf,
-			})
+			ack := srAck(s.dataH, s.sackBuf)
+			s.sackBuf = ack.sack
+			e.CP.send(ack)
 		case SchemeEC:
 			// Recoverable segments need no repair traffic: parity already
 			// covers the losses, and the decode happens when the head
@@ -1002,20 +756,8 @@ func (e *Endpoint) ReceiveAdaptive(ad *Adaptor, mr *nicsim.MR, offset uint64, si
 				return
 			}
 			if now.After(s.nextNack) {
-				bm := s.dataH.Bitmap()
-				missBuf = bm.Missing(missBuf[:0], 0, bm.Len())
-				if len(missBuf) > 0 {
-					missing := make([]uint32, len(missBuf))
-					for j, c := range missBuf {
-						missing[j] = uint32(c)
-					}
-					e.NacksSent.Add(1)
-					e.probe(telemetry.EvNack, int64(len(missBuf)), int64(s.idx), 0, 0)
-					e.CP.send(ctrlMsg{
-						typ:         msgECNack,
-						opID:        s.dataH.Seq(),
-						nackSubmsgs: []ecNackEntry{{submsg: 0, missing: missing}},
-					})
+				if en := e.scr.nackEntry(0, s.dataH); len(en.missing) > 0 {
+					e.sendNack(s.dataH.Seq(), int64(s.idx), []ecNackEntry{en})
 				}
 				s.nextNack = now.Add(cfg.RTT)
 			}
@@ -1026,47 +768,44 @@ func (e *Endpoint) ReceiveAdaptive(ad *Adaptor, mr *nicsim.MR, offset uint64, si
 	start := clk.Now()
 	deadline := start.Add(cfg.GlobalTimeout)
 	nextAck := start.Add(cfg.AckInterval)
-	for head < g.nsegs {
+	for head < g.n {
 		epoch := clk.Epoch()
 		// Advance the completion head in order: observation order is
 		// what keeps the adaptation trajectory deterministic.
-		for head < g.nsegs && segs[head] != nil && tryRecover(segs[head]) {
-			finalize(segs[head])
+		for head < posted && tryRecover(&segs[head]) {
+			finalize(&segs[head])
 			head++
 			if err := postAhead(head); err != nil {
 				return err
 			}
 		}
-		if head >= g.nsegs {
+		if head >= g.n {
 			break
 		}
-		if err := e.abortErr(); err != nil {
-			for i := head; i < posted; i++ {
-				segs[i].dataH.Complete()
-				if segs[i].parityH != nil {
-					segs[i].parityH.Complete()
-				}
-			}
-			return fmt.Errorf("adaptive receive %d B: %w", size, err)
-		}
 		now := clk.Now()
-		if now.After(deadline) {
+		if err := e.stopErr(now, deadline); err != nil {
 			for i := head; i < posted; i++ {
-				segs[i].dataH.Complete()
-				if segs[i].parityH != nil {
-					segs[i].parityH.Complete()
-				}
+				abandon(segs[i].dataH, segs[i].parityH)
 			}
-			return fmt.Errorf("%w: adaptive receive %d B, %d/%d segments",
-				ErrGlobalTimeout, size, head, g.nsegs)
+			return fmt.Errorf("adaptive receive %d B, %d/%d segments: %w", size, head, g.n, err)
 		}
 		if !now.Before(nextAck) {
 			for i := head; i < posted; i++ {
-				tick(segs[i], now)
+				tick(&segs[i], now)
 			}
 			nextAck = now.Add(cfg.AckInterval)
 		}
 		clk.WaitNotify(epoch, nextAck.Sub(now))
 	}
 	return nil
+}
+
+// sendPlan announces segment s's rung to the sender on the plan
+// stream planID.
+func (e *Endpoint) sendPlan(planID uint64, s *adaptiveSegRecv) {
+	m := ctrlMsg{typ: msgPlan, opID: planID, planSeg: uint32(s.idx), planScheme: byte(s.mode.Scheme)}
+	if s.mode.Scheme == SchemeEC {
+		m.planK, m.planM = uint16(s.mode.K), uint16(s.mode.M)
+	}
+	e.CP.send(m)
 }

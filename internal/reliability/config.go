@@ -1,21 +1,31 @@
 // Package reliability implements the paper's example reliability
-// layers on top of the SDR partial-completion bitmap (§4): Selective
-// Repeat (timeout- and NACK-driven) and Erasure Coding with a
-// Selective-Repeat fallback. Both run over two connections, exactly as
+// layers on top of the SDR partial-completion bitmap (§4). A parsed
+// Protocol names the scheme and dispatches one Write and one Receive:
+//
+//   - "sr": Selective Repeat with per-chunk RTO retransmission;
+//   - "sr-nack": SR plus fast retransmission of holes behind the
+//     selective-ACK frontier;
+//   - "ec": erasure-coded submessages with an SR fallback on NACK;
+//   - "adaptive": the scheme choice made dynamic — one transfer is
+//     split into segments, the receiver's Adaptor plans each segment's
+//     rung on an SR↔EC ladder from per-segment loss, duplicate and ECN
+//     signals (with hysteresis and a dwell floor), and the sender
+//     follows the plans mid-flight: the "software-defined" half of the
+//     paper's title.
+//
+// Each engine (sr.go, ec.go, adaptive.go) is a repair policy over one
+// set of shared building blocks: SR chunk tracking (selective-ACK
+// apply, resend, the backoff RTO sweep), the SR ACK built from a chunk
+// bitmap, the EC submessage codec (encode with virtual-zero and tail
+// padding, in-place recovery), the missing-chunk NACK, and one
+// receiver finish path (final ACK, background linger and retire) and
+// abandon path. Every protocol runs over two connections, exactly as
 // in §4.1:
 //
 //   - a data-path SDR QP for zero-copy chunk delivery, and
 //   - a control-path UD QP for ACK/NACK exchange — control packets
 //     traverse the same lossy fabric and can be dropped, so the
 //     protocols must tolerate ACK loss.
-//
-// The adaptive layer (Adaptor, WriteAdaptive/ReceiveAdaptive) makes
-// the scheme choice itself dynamic: one transfer is split into
-// segments, the receiver observes per-segment loss, duplicate and ECN
-// signals and plans each upcoming segment's rung on an SR↔EC ladder
-// (with hysteresis and a dwell floor), and the sender follows the
-// plans mid-flight — the "software-defined" half of the paper's
-// title, exercised against the netem fault programs.
 package reliability
 
 import (
@@ -32,10 +42,6 @@ type Config struct {
 	// Alpha sets RTO = RTT + Alpha·RTT (§4.1.1; the paper's "SR RTO"
 	// scenario uses Alpha = 2, i.e. RTO = 3·RTT).
 	Alpha float64
-	// NACK enables receiver-driven fast retransmission: holes behind
-	// the selective-ACK frontier are resent after ~1 RTT instead of a
-	// full RTO (§5.1.1's "SR NACK" scenario).
-	NACK bool
 	// PollInterval is the receiver's bitmap polling cadence.
 	PollInterval time.Duration
 	// AckInterval is the receiver's ACK transmission cadence.
@@ -54,11 +60,6 @@ type Config struct {
 	// exists to fix; the flag is for regression tests and A/B
 	// measurements of that behaviour.
 	NoLateReAck bool
-	// SyncRetire restores the pre-elastic-fabric behaviour of blocking
-	// a completed receive through the whole final-ACK linger window
-	// instead of retiring in the background (retire.go). Kept for A/B
-	// regression measurements of the async retire path.
-	SyncRetire bool
 
 	// K and M are the erasure-code split (data and parity chunks per
 	// submessage; paper's balanced choice is 32, 8).

@@ -4,65 +4,159 @@ import (
 	"fmt"
 
 	"sdrrdma/internal/core"
+	"sdrrdma/internal/ec"
 	"sdrrdma/internal/nicsim"
 	"sdrrdma/internal/telemetry"
 )
 
-// ecGeometry captures how a message decomposes into erasure-coded
-// submessages (§4.1.2): L data submessages of k chunks (the tail
-// submessage may have fewer real chunks and is padded with virtual
-// zero chunks so the (k, m) code applies uniformly), each paired with
-// a parity submessage of m chunks.
-type ecGeometry struct {
-	chunkBytes int
-	k, m       int
-	nchunks    int // real data chunks
-	L          int // submessages
+// split cuts a message of total bytes into n parts of part bytes:
+// the EC submessages of K chunks (§4.1.2; a short tail submessage is
+// padded with virtual zero chunks so the (k, m) code applies
+// uniformly) or the adaptive segments. The last part may be short; an
+// empty message is one empty part.
+type split struct{ part, total, n int }
+
+func newSplit(total, part int) split {
+	return split{part: part, total: total, n: max(1, (total+part-1)/part)}
 }
 
-func newECGeometry(size, chunkBytes, k, m int) ecGeometry {
-	nchunks := (size + chunkBytes - 1) / chunkBytes
-	l := (nchunks + k - 1) / k
-	if l == 0 {
-		l = 1
-	}
-	return ecGeometry{chunkBytes: chunkBytes, k: k, m: m, nchunks: nchunks, L: l}
+// bytes returns part i's byte range [lo, hi) within the message.
+func (s split) bytes(i int) (lo, hi int) {
+	lo = i * s.part
+	return lo, min(lo+s.part, s.total)
 }
-
-// realChunks returns how many real data chunks submessage i holds.
-func (g ecGeometry) realChunks(i int) int {
-	r := g.nchunks - i*g.k
-	if r > g.k {
-		r = g.k
-	}
-	if r < 0 {
-		r = 0
-	}
-	return r
-}
-
-// subBytes returns the real byte size of data submessage i within a
-// message of size total bytes.
-func (g ecGeometry) subBytes(i, total int) int {
-	lo := i * g.k * g.chunkBytes
-	hi := lo + g.k*g.chunkBytes
-	if hi > total {
-		hi = total
-	}
-	return hi - lo
-}
-
-// parityBytes is the wire size of each parity submessage.
-func (g ecGeometry) parityBytes() int { return g.m * g.chunkBytes }
 
 // ECScratchBytes returns the parity scratch size ReceiveEC requires
-// for a message of msgBytes under this config and chunk size — the
-// single source of truth harnesses should size their scratch MRs
-// with, instead of re-deriving the L·m·chunk geometry.
+// for a message of msgBytes under this config and chunk size: one
+// m-chunk parity submessage per data submessage.
 func (c Config) ECScratchBytes(chunkBytes, msgBytes int) int {
 	cfg := c.WithDefaults()
-	g := newECGeometry(msgBytes, chunkBytes, cfg.K, cfg.M)
-	return g.L * g.parityBytes()
+	return newSplit(msgBytes, cfg.K*chunkBytes).n * cfg.M * chunkBytes
+}
+
+// shard returns chunk j of a submessage whose real bytes are sub, as
+// a k-chunk shard for the code: sub's own storage for a full chunk,
+// the shared zero chunk past its end (a virtual zero chunk, never
+// sent), and a zero-padded copy in tailScratch for a partial tail.
+func (s *opScratch) shard(sub []byte, j, chunkBytes int) (shard []byte, tail bool) {
+	lo := j * chunkBytes
+	switch {
+	case lo >= len(sub):
+		return s.scratchZero(chunkBytes), false
+	case lo+chunkBytes > len(sub):
+		t := scratchN(&s.tailScratch, chunkBytes)
+		clear(t[copy(t, sub[lo:]):])
+		return t, true
+	}
+	return sub[lo : lo+chunkBytes], false
+}
+
+// encodeSub computes one submessage's parity (§4.1.2): sub holds its
+// real bytes, at most k chunks, and parity receives its m chunks.
+func (s *opScratch) encodeSub(code ec.Code, k, m, chunkBytes int, sub, parity []byte) error {
+	data := scratchN(&s.dataShards, k)
+	for j := range data {
+		data[j], _ = s.shard(sub, j, chunkBytes)
+	}
+	par := scratchN(&s.parityShards, m)
+	for j := range par {
+		par[j] = parity[j*chunkBytes : (j+1)*chunkBytes]
+	}
+	return code.Encode(data, par)
+}
+
+// recoverSub reports whether the submessage posted as dataH (real
+// bytes sub) with parity parityH (m chunks in parity) is complete or
+// recoverable, decoding the missing data chunks in place when parity
+// covers them. missing counts the data chunks that never arrived; it
+// is nonzero exactly when recovery needed a decode.
+func (s *opScratch) recoverSub(code ec.Code, k, m, chunkBytes int, sub, parity []byte,
+	dataH, parityH *core.RecvHandle) (ok bool, missing int) {
+	real := (len(sub) + chunkBytes - 1) / chunkBytes
+	present := scratchN(&s.present, k+m)
+	dataBM := dataH.Bitmap()
+	for j := 0; j < real; j++ {
+		present[j] = dataBM.Test(j)
+		if !present[j] {
+			missing++
+		}
+	}
+	if missing == 0 {
+		return true, 0
+	}
+	for j := real; j < k; j++ {
+		present[j] = true // virtual zero chunks never travel
+	}
+	parityBM := parityH.Bitmap()
+	for j := 0; j < m; j++ {
+		present[k+j] = parityBM.Test(j)
+	}
+	if !code.CanRecover(present) {
+		return false, missing
+	}
+	shards := scratchN(&s.shards, k+m)
+	tailChunk := -1
+	for j := 0; j < k; j++ {
+		var tail bool
+		if shards[j], tail = s.shard(sub, j, chunkBytes); tail {
+			tailChunk = j
+		}
+	}
+	for j := 0; j < m; j++ {
+		shards[k+j] = parity[j*chunkBytes : (j+1)*chunkBytes]
+	}
+	presentCopy := scratchN(&s.presentCopy, k+m)
+	copy(presentCopy, present)
+	if err := code.Reconstruct(shards, presentCopy); err != nil {
+		return false, missing
+	}
+	if tailChunk >= 0 && !present[tailChunk] {
+		// write back only the real bytes of the recovered tail
+		lo := tailChunk * chunkBytes
+		copy(sub[lo:], shards[tailChunk][:len(sub)-lo])
+	}
+	return true, missing
+}
+
+// sendParity encodes the (k, m) parity of submessage idx, whose real
+// bytes are sub, into parity and sends it as a one-shot SDR send. The
+// wire aliases parity until the operation completes.
+func (e *Endpoint) sendParity(what string, idx, k, m int, sub, parity []byte) error {
+	code, err := e.code(k, m)
+	if err != nil {
+		return err
+	}
+	if err := e.scr.encodeSub(code, k, m, e.QP.Config().ChunkBytes, sub, parity); err != nil {
+		return fmt.Errorf("reliability: %s %d parity encode: %w", what, idx, err)
+	}
+	if _, err := e.QP.SendPostTimeout(parity, 0, e.Cfg.GlobalTimeout); err != nil {
+		return startErr(fmt.Sprintf("%s %d parity send", what, idx), err)
+	}
+	return nil
+}
+
+// nackEntry lists the data chunks of submessage sub that have not
+// arrived on h.
+func (s *opScratch) nackEntry(sub int, h *core.RecvHandle) ecNackEntry {
+	bm := h.Bitmap()
+	s.missBuf = bm.Missing(s.missBuf[:0], 0, bm.Len())
+	missing := make([]uint32, len(s.missBuf))
+	for j, c := range s.missBuf {
+		missing[j] = uint32(c)
+	}
+	return ecNackEntry{submsg: uint32(sub), missing: missing}
+}
+
+// sendNack sends the EC fallback NACK for operation opID; seg is the
+// segment index its telemetry event carries (-1 for a whole message).
+func (e *Endpoint) sendNack(opID uint64, seg int64, entries []ecNackEntry) {
+	miss := 0
+	for _, en := range entries {
+		miss += len(en.missing)
+	}
+	e.NacksSent.Add(1)
+	e.probe(telemetry.EvNack, int64(miss), seg, 0, 0)
+	e.CP.send(ctrlMsg{typ: msgECNack, opID: opID, nackSubmsgs: entries})
 }
 
 // WriteEC reliably writes data using the erasure-coding scheme of
@@ -75,133 +169,77 @@ func (e *Endpoint) WriteEC(data []byte) error {
 	e.opMu.Lock()
 	defer e.opMu.Unlock()
 	cfg := e.Cfg
-	code, err := e.cachedCode(cfg.Code, cfg.K, cfg.M)
-	if err != nil {
-		return err
+	if _, err := e.code(cfg.K, cfg.M); err != nil {
+		return err // an unusable code fails before anything is sent
 	}
 	chunkBytes := e.QP.Config().ChunkBytes
-	g := newECGeometry(len(data), chunkBytes, cfg.K, cfg.M)
-
-	streams := scratchSlice(&e.scr.streams, g.L)
-	parity := scratchSlice(&e.scr.parity, g.L)
-
-	// Encode all parity up front (§4.1.2 notes encoding can overlap
-	// injection on spare cores; the simulator encodes inline — Fig 11
-	// measures the cost separately). Parity lives in one endpoint-pooled
-	// slab: the wire aliases it until the message is acknowledged, which
-	// this operation awaits, so the next message may reuse it.
-	dataShards := scratchSlice(&e.scr.dataShards, g.k)
-	scratchTail := scratchBytesN(&e.scr.tailScratch, chunkBytes)
-	paritySlab := scratchBytesN(&e.scr.paritySlab, g.L*g.parityBytes())
-	parityShards := scratchSlice(&e.scr.parityShards, g.m)
-	// Virtual zero chunks are read-only during Encode, so every
-	// submessage can share one buffer instead of allocating per slot.
-	zeroChunk := e.scr.scratchZero(chunkBytes)
-	for i := 0; i < g.L; i++ {
-		real := g.realChunks(i)
-		for j := 0; j < g.k; j++ {
-			if j >= real {
-				dataShards[j] = zeroChunk // virtual zero chunk
-				continue
-			}
-			lo := (i*g.k + j) * chunkBytes
-			hi := lo + chunkBytes
-			if hi > len(data) {
-				// partial tail chunk: zero-pad into scratch
-				for b := range scratchTail {
-					scratchTail[b] = 0
-				}
-				copy(scratchTail, data[lo:])
-				dataShards[j] = scratchTail
-				continue
-			}
-			dataShards[j] = data[lo:hi]
-		}
-		parityBuf := paritySlab[i*g.parityBytes() : (i+1)*g.parityBytes()]
-		for j := range parityShards {
-			parityShards[j] = parityBuf[j*chunkBytes : (j+1)*chunkBytes]
-		}
-		if err := code.Encode(dataShards, parityShards); err != nil {
-			return fmt.Errorf("reliability: EC encode submessage %d: %w", i, err)
-		}
-		parity[i] = parityBuf
-	}
+	sp := newSplit(len(data), cfg.K*chunkBytes)
+	pb := cfg.M * chunkBytes
 
 	// Interleaved injection: data_i (streaming) then parity_i
-	// (one-shot), matching the receiver's posting order. Every stream
-	// start is bounded by GlobalTimeout: a crashed receiver surfaces as
-	// ErrPeerDead instead of stalling the sender forever.
-	var opID uint64
-	for i := 0; i < g.L; i++ {
-		sb := g.subBytes(i, len(data))
-		st, err := e.QP.SendStreamStartTimeout(sb, 0, cfg.GlobalTimeout)
+	// (one-shot), matching the receiver's posting order. Parity is
+	// encoded inline (§4.1.2 notes encoding can overlap injection on
+	// spare cores; Fig 11 measures the cost separately) into one
+	// endpoint-pooled slab: the wire aliases it until the message is
+	// acknowledged, which this operation awaits, so the next message may
+	// reuse it. Every stream start is bounded by GlobalTimeout: a
+	// crashed receiver surfaces as ErrPeerDead instead of stalling the
+	// sender forever.
+	paritySlab := scratchN(&e.scr.paritySlab, sp.n*pb)
+	streams := scratchSlice(&e.scr.streams, sp.n)
+	for i := 0; i < sp.n; i++ {
+		lo, hi := sp.bytes(i)
+		st, err := e.QP.SendStreamStartTimeout(hi-lo, 0, cfg.GlobalTimeout)
 		if err != nil {
-			return startErr(fmt.Sprintf("EC data stream %d", i), err)
-		}
-		if i == 0 {
-			opID = st.Seq()
+			return startErr(fmt.Sprintf("EC submessage %d stream", i), err)
 		}
 		streams[i] = st
-		lo := i * g.k * chunkBytes
-		if err := st.Continue(0, data[lo:lo+sb]); err != nil {
+		if err := st.Continue(0, data[lo:hi]); err != nil {
 			return err
 		}
-		if _, err := e.QP.SendPostTimeout(parity[i], 0, cfg.GlobalTimeout); err != nil {
-			return startErr(fmt.Sprintf("EC parity send %d", i), err)
+		if err := e.sendParity("EC submessage", i, cfg.K, cfg.M, data[lo:hi], paritySlab[i*pb:(i+1)*pb]); err != nil {
+			return err
 		}
 	}
 
+	opID := streams[0].Seq()
 	acks := e.CP.register(opID)
 	defer e.CP.unregister(opID)
 
 	clk := e.clock()
 	deadline := clk.Now().Add(cfg.GlobalTimeout)
 	var done bool
-	var nackErr error
-	apply := func(m ctrlMsg) {
+	apply := func(m ctrlMsg) error {
 		switch m.typ {
 		case msgECAck:
 			done = true
 		case msgECNack:
-			if done || nackErr != nil {
-				return
+			if done {
+				return nil
 			}
 			// Fallback: selective repeat of the reported missing
 			// chunks through the still-open streams (§4.1.2).
 			for _, entry := range m.nackSubmsgs {
 				i := int(entry.submsg)
-				if i >= g.L {
+				if i >= sp.n {
 					continue
 				}
-				sb := g.subBytes(i, len(data))
-				base := i * g.k * chunkBytes
-				for _, cIdx := range entry.missing {
-					lo := int(cIdx) * chunkBytes
-					hi := lo + chunkBytes
-					if hi > sb {
-						hi = sb
-					}
-					if lo >= sb {
-						continue
-					}
-					e.Retransmits.Add(1)
-					e.probe(telemetry.EvRetransmit, int64(cIdx), telemetry.CauseNack, int64(i), 0)
-					if err := streams[i].Continue(lo, data[base+lo:base+hi]); err != nil {
-						nackErr = err
-						return
-					}
+				lo, hi := sp.bytes(i)
+				s := sendStream{st: streams[i], data: data[lo:hi], idx: int64(i)}
+				if err := e.resendMissing(s, entry.missing); err != nil {
+					return err
 				}
 			}
 		}
+		return nil
 	}
 	for {
 		epoch := clk.Epoch()
 		if err := e.abortErr(); err != nil {
 			return fmt.Errorf("EC write %d B: %w", len(data), err)
 		}
-		drain(acks, apply)
-		if nackErr != nil {
-			return nackErr
+		if _, err := drain(acks, apply); err != nil {
+			return err
 		}
 		if done {
 			for _, st := range streams {
@@ -216,13 +254,6 @@ func (e *Endpoint) WriteEC(data []byte) error {
 	}
 }
 
-// ecRecvState tracks one submessage on the receiver.
-type ecRecvState struct {
-	dataH     *core.RecvHandle
-	parityH   *core.RecvHandle
-	recovered bool
-}
-
 // ReceiveEC receives one erasure-coded Write into
 // mr[offset:offset+size], using scratch for parity submessages
 // (scratch must hold L·m·chunk bytes). The receiver polls the
@@ -233,174 +264,52 @@ func (e *Endpoint) ReceiveEC(mr *nicsim.MR, offset uint64, size int, scratch *ni
 	e.opMu.Lock()
 	defer e.opMu.Unlock()
 	cfg := e.Cfg
-	code, err := e.cachedCode(cfg.Code, cfg.K, cfg.M)
+	code, err := e.code(cfg.K, cfg.M)
 	if err != nil {
 		return err
 	}
 	chunkBytes := e.QP.Config().ChunkBytes
-	g := newECGeometry(size, chunkBytes, cfg.K, cfg.M)
-	if need := uint64(g.L * g.parityBytes()); scratch.Span() < need {
+	sp := newSplit(size, cfg.K*chunkBytes)
+	pb := cfg.M * chunkBytes
+	if need := uint64(sp.n * pb); scratch.Span() < need {
 		return fmt.Errorf("reliability: parity scratch %d B, need %d", scratch.Span(), need)
 	}
 
-	subs := scratchSlice(&e.scr.subs, g.L)
-	for i := 0; i < g.L; i++ {
-		dataH, err := e.QP.RecvPost(mr, offset+uint64(i*g.k*chunkBytes), g.subBytes(i, size))
+	// handles lists every posted slot in posting order — submessage
+	// i's data at 2i, its parity at 2i+1. The finish and abandon paths
+	// take the whole operation at once, so even an L≫1 message is one
+	// re-ACK table entry and cannot evict its own slots.
+	handles := make([]*core.RecvHandle, 0, 2*sp.n)
+	for i := 0; i < sp.n; i++ {
+		lo, hi := sp.bytes(i)
+		dataH, err := e.QP.RecvPost(mr, offset+uint64(lo), hi-lo)
 		if err != nil {
 			return fmt.Errorf("reliability: EC data recv %d: %w", i, err)
 		}
-		parityH, err := e.QP.RecvPost(scratch, uint64(i*g.parityBytes()), g.parityBytes())
+		parityH, err := e.QP.RecvPost(scratch, uint64(i*pb), pb)
 		if err != nil {
 			return fmt.Errorf("reliability: EC parity recv %d: %w", i, err)
 		}
-		subs[i] = ecRecvState{dataH: dataH, parityH: parityH}
+		handles = append(handles, dataH, parityH)
 	}
-	opID := subs[0].dataH.Seq()
+	opID := handles[0].Seq()
+	recovered := scratchSlice(&e.scr.recovered, sp.n)
 
 	buf := mr.Bytes()
 	scratchBuf := scratch.Bytes()
-	present := scratchSlice(&e.scr.present, g.k+g.m)
-	presentCopy := scratchSlice(&e.scr.presentCopy, g.k+g.m)
-	shards := scratchSlice(&e.scr.shards, g.k+g.m)
-	// Scratch buffers shared across poll ticks and submessages: virtual
-	// zero chunks are read-only during Reconstruct (always marked
-	// present), and at most one partial tail chunk exists per message.
-	zeroChunk := e.scr.scratchZero(chunkBytes)
-	tailScratch := scratchBytesN(&e.scr.tailScratch, chunkBytes)
-
 	// tryRecover decodes submessage i in place if possible.
 	tryRecover := func(i int) bool {
-		s := &subs[i]
-		if s.recovered {
-			return true
+		if !recovered[i] {
+			lo, hi := sp.bytes(i)
+			recovered[i], _ = e.scr.recoverSub(code, cfg.K, cfg.M, chunkBytes,
+				buf[int(offset)+lo:int(offset)+hi], scratchBuf[i*pb:(i+1)*pb], handles[2*i], handles[2*i+1])
 		}
-		real := g.realChunks(i)
-		dataBM := s.dataH.Bitmap()
-		allData := true
-		for j := 0; j < real; j++ {
-			present[j] = dataBM.Test(j)
-			if !present[j] {
-				allData = false
-			}
-		}
-		if allData {
-			s.recovered = true
-			return true
-		}
-		for j := real; j < g.k; j++ {
-			present[j] = true // virtual zero chunks never travel
-		}
-		parityBM := s.parityH.Bitmap()
-		for j := 0; j < g.m; j++ {
-			present[g.k+j] = parityBM.Test(j)
-		}
-		if !code.CanRecover(present) {
-			return false
-		}
-		// Build shards over the real buffers; padded temporaries for
-		// the partial tail chunk and virtual chunks.
-		subBase := int(offset) + i*g.k*chunkBytes
-		sb := g.subBytes(i, size)
-		var tailShard []byte
-		tailChunk := -1
-		for j := 0; j < g.k; j++ {
-			if j >= real {
-				shards[j] = zeroChunk
-				continue
-			}
-			lo := j * chunkBytes
-			hi := lo + chunkBytes
-			if hi > sb {
-				tailShard = tailScratch
-				n := copy(tailShard, buf[subBase+lo:subBase+sb])
-				for b := n; b < chunkBytes; b++ {
-					tailShard[b] = 0 // zero-pad: buffer is reused
-				}
-				shards[j] = tailShard
-				tailChunk = j
-				continue
-			}
-			shards[j] = buf[subBase+lo : subBase+hi]
-		}
-		for j := 0; j < g.m; j++ {
-			lo := i*g.parityBytes() + j*chunkBytes
-			shards[g.k+j] = scratchBuf[lo : lo+chunkBytes]
-		}
-		copy(presentCopy, present)
-		if err := code.Reconstruct(shards, presentCopy); err != nil {
-			return false
-		}
-		if tailShard != nil && !present[tailChunk] {
-			// write back only the real bytes of the recovered tail
-			lo := tailChunk * chunkBytes
-			copy(buf[subBase+lo:subBase+sb], tailShard[:sb-lo])
-		}
-		s.recovered = true
-		return true
-	}
-
-	var missBuf []int // reused across NACK rounds
-	sendNack := func() {
-		var entries []ecNackEntry
-		for i := range subs {
-			if subs[i].recovered {
-				continue
-			}
-			bm := subs[i].dataH.Bitmap()
-			missBuf = bm.Missing(missBuf[:0], 0, bm.Len())
-			missing := make([]uint32, len(missBuf))
-			for j, c := range missBuf {
-				missing[j] = uint32(c)
-			}
-			entries = append(entries, ecNackEntry{submsg: uint32(i), missing: missing})
-		}
-		if len(entries) > 0 {
-			miss := 0
-			for _, en := range entries {
-				miss += len(en.missing)
-			}
-			e.NacksSent.Add(1)
-			e.probe(telemetry.EvNack, int64(miss), -1, 0, 0)
-			e.CP.send(ctrlMsg{typ: msgECNack, opID: opID, nackSubmsgs: entries})
-		}
+		return recovered[i]
 	}
 
 	clk := e.clock()
-	complete := func() error {
-		// Positive ACK at the completion instant; the linger against
-		// control loss runs in the background (retire.go). Late fallback
-		// retransmissions into any retired slot of this message re-pull
-		// the positive ACK (see reack.go): the whole operation — every
-		// data and parity slot — is one table entry, so even an L≫1
-		// message cannot evict its own slots.
-		final := ctrlMsg{typ: msgECAck, opID: opID}
-		e.CP.send(final)
-		handles := make([]*core.RecvHandle, 0, 2*len(subs))
-		for i := range subs {
-			handles = append(handles, subs[i].dataH, subs[i].parityH)
-		}
-		if cfg.SyncRetire {
-			lingerEnd := clk.Now().Add(cfg.Linger)
-			for {
-				clk.Sleep(cfg.AckInterval)
-				if !clk.Now().Before(lingerEnd) {
-					break
-				}
-				e.CP.send(final)
-			}
-			e.rememberRetired(final, handles...)
-			for _, h := range handles {
-				h.Complete()
-			}
-			return nil
-		}
-		e.retire(final, handles...)
-		return nil
-	}
-
 	start := clk.Now()
-	fto := cfg.FTO()
-	nextNack := start.Add(fto) // FTO armed at posting (§4.1.2)
+	nextNack := start.Add(cfg.FTO()) // FTO armed at posting (§4.1.2)
 	deadline := start.Add(cfg.GlobalTimeout)
 	for {
 		// Snapshot BEFORE probing recoverability: submessage
@@ -408,31 +317,32 @@ func (e *Endpoint) ReceiveEC(mr *nicsim.MR, offset uint64, size int, scratch *ni
 		// exact delivery that makes recovery possible.
 		epoch := clk.Epoch()
 		allOK := true
-		for i := range subs {
+		for i := range recovered {
 			if !tryRecover(i) {
 				allOK = false
 			}
 		}
 		if allOK {
-			return complete()
-		}
-		if err := e.abortErr(); err != nil {
-			for i := range subs {
-				subs[i].dataH.Complete()
-				subs[i].parityH.Complete()
-			}
-			return fmt.Errorf("EC receive %d B: %w", size, err)
+			// Late fallback retransmissions into any retired slot of
+			// this message re-pull the positive ACK (see reack.go).
+			e.finish(ctrlMsg{typ: msgECAck, opID: opID}, handles...)
+			return nil
 		}
 		now := clk.Now()
-		if now.After(deadline) {
-			for i := range subs {
-				subs[i].dataH.Complete()
-				subs[i].parityH.Complete()
-			}
-			return fmt.Errorf("%w: EC receive %d B", ErrGlobalTimeout, size)
+		if err := e.stopErr(now, deadline); err != nil {
+			abandon(handles...)
+			return fmt.Errorf("EC receive %d B: %w", size, err)
 		}
 		if now.After(nextNack) {
-			sendNack()
+			var entries []ecNackEntry
+			for i, ok := range recovered {
+				if !ok {
+					entries = append(entries, e.scr.nackEntry(i, handles[2*i]))
+				}
+			}
+			if len(entries) > 0 {
+				e.sendNack(opID, -1, entries)
+			}
 			nextNack = now.Add(cfg.RTO())
 		}
 		clk.WaitNotify(epoch, cfg.PollInterval)

@@ -79,24 +79,14 @@ func runTransfer(t *testing.T, s *Session, clk clock.Clock, size int, seed byte,
 	mr := s.Pair.B.Ctx.RegMR(recvBuf)
 
 	scratch := s.Pair.B.Ctx.RegMR(make([]byte, 1<<20))
+	p, err := ParseProtocol(protocol)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sendErr, recvErr error
 	clock.Join(clk,
-		func() {
-			switch protocol {
-			case "sr":
-				sendErr = s.A.WriteSR(data)
-			case "ec":
-				sendErr = s.A.WriteEC(data)
-			}
-		},
-		func() {
-			switch protocol {
-			case "sr":
-				recvErr = s.B.ReceiveSR(mr, 0, size)
-			case "ec":
-				recvErr = s.B.ReceiveEC(mr, 0, size, scratch)
-			}
-		})
+		func() { sendErr = p.Write(s.A, data) },
+		func() { recvErr = p.Receive(s.B, mr, 0, size, scratch) })
 	if sendErr != nil {
 		t.Fatalf("%s write: %v", protocol, sendErr)
 	}
@@ -127,10 +117,8 @@ func TestSRHeavyLoss(t *testing.T) {
 }
 
 func TestSRNACKMode(t *testing.T) {
-	cfg := testRelCfg()
-	cfg.NACK = true
-	s, vc := newVirtualSession(t, cfg, 0.1, 4)
-	runTransfer(t, s, vc, 64<<10, 4, "sr")
+	s, vc := newVirtualSession(t, testRelCfg(), 0.1, 4)
+	runTransfer(t, s, vc, 64<<10, 4, "sr-nack")
 }
 
 // NACK mode should complete lossy transfers faster than pure RTO mode
@@ -138,16 +126,14 @@ func TestSRNACKMode(t *testing.T) {
 // comparison is exact — same loss pattern, virtual completion times —
 // instead of a flaky wall-clock race.
 func TestSRNACKFasterThanRTO(t *testing.T) {
-	run := func(nack bool) time.Duration {
-		cfg := testRelCfg()
-		cfg.NACK = nack
-		s, vc := newVirtualSession(t, cfg, 0.08, 5)
+	run := func(protocol string) time.Duration {
+		s, vc := newVirtualSession(t, testRelCfg(), 0.08, 5)
 		start := vc.Now()
-		runTransfer(t, s, vc, 128<<10, 5, "sr")
+		runTransfer(t, s, vc, 128<<10, 5, protocol)
 		return vc.Since(start)
 	}
-	rto := run(false)
-	nack := run(true)
+	rto := run("sr")
+	nack := run("sr-nack")
 	if nack >= rto {
 		t.Fatalf("NACK mode (%v) not faster than RTO mode (%v) in virtual time", nack, rto)
 	}
@@ -160,7 +146,6 @@ func TestSRNACKFasterThanRTO(t *testing.T) {
 func TestVirtualDeterminism(t *testing.T) {
 	trace := func() string {
 		cfg := testRelCfg()
-		cfg.NACK = true
 		vc := clock.NewVirtual()
 		lat := 2 * time.Millisecond
 		s, err := NewSession(testCoreCfg(vc), cfg,
@@ -172,7 +157,7 @@ func TestVirtualDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		runTransfer(t, s, vc, 96<<10, 9, "sr")
+		runTransfer(t, s, vc, 96<<10, 9, "sr-nack")
 		st := s.Pair.A.QP.Stats()
 		return fmt.Sprintf("t=%v sent=%d recv=%d late=%d dup=%d",
 			vc.Elapsed(), st.PacketsSent, s.Pair.B.QP.Stats().PacketsReceived,

@@ -7,21 +7,38 @@ import (
 	"sdrrdma/internal/core"
 )
 
-// Async receive retire: a completed receive used to block its caller
-// through the whole final-ACK linger window (re-sending the final ACK
-// so a lost one cannot strand the sender) before retiring its slots.
-// On the collective critical path that serialized ~one linger per
-// stage — the receiver could not post the next stage's buffer, so its
-// CTS (and with it the sender) waited out the linger too.
-//
-// The linger now runs in the background: ReceiveSR/ReceiveEC send the
-// final control message once and return at the completion instant; a
-// clock timer keeps re-sending it every AckInterval until the linger
-// window elapses, then arms the late re-ACK table and retires the
-// slots. Session.Close joins the pending retires (flushRetires), so
-// teardown or a pooled release never leaves armed timers or live slots
-// behind. Config.SyncRetire restores the old blocking behaviour for
-// A/B regression measurements.
+// Receiver finish path: a completed receive sends its final control
+// message once and returns at the completion instant; a clock timer
+// keeps re-sending it every AckInterval until the Linger window
+// elapses (so a lost final ACK cannot strand the sender), then arms
+// the late re-ACK table and retires the slots. Running the linger in
+// the background keeps it off the collective critical path: the
+// caller can post its next receive, and with it the CTS its sender
+// waits for, immediately. Session.Close joins the pending retires
+// (flushRetires), so teardown or a pooled release never leaves armed
+// timers or live slots behind.
+
+// stopErr reports why a receive loop must give up at now: the
+// endpoint was aborted, or the operation's global deadline passed.
+func (e *Endpoint) stopErr(now, deadline time.Time) error {
+	if err := e.abortErr(); err != nil {
+		return err
+	}
+	if now.After(deadline) {
+		return ErrGlobalTimeout
+	}
+	return nil
+}
+
+// abandon completes the posted handles of a receive that gives up on
+// abort or timeout; nil handles (unposted parity) are skipped.
+func abandon(handles ...*core.RecvHandle) {
+	for _, h := range handles {
+		if h != nil {
+			h.Complete()
+		}
+	}
+}
 
 // pendingRetire is one receive whose linger is still running.
 type pendingRetire struct {
@@ -32,13 +49,13 @@ type pendingRetire struct {
 	done     bool
 }
 
-// retire schedules the background linger for a completed receive whose
-// final control message msg has already been sent once. The handles'
-// slots stay live until the linger elapses (or the session closes), so
-// retransmissions keep landing as duplicates rather than late packets.
-func (e *Endpoint) retire(msg ctrlMsg, handles ...*core.RecvHandle) {
+// finish completes a receive: final goes out now, and the handles'
+// slots stay live (retransmissions keep landing as duplicates rather
+// than late packets) until the linger elapses or the session closes.
+func (e *Endpoint) finish(final ctrlMsg, handles ...*core.RecvHandle) {
+	e.CP.send(final)
 	clk := e.clock()
-	r := &pendingRetire{msg: msg, handles: handles, deadline: clk.Now().Add(e.Cfg.Linger)}
+	r := &pendingRetire{msg: final, handles: handles, deadline: clk.Now().Add(e.Cfg.Linger)}
 	e.retMu.Lock()
 	e.retires = append(e.retires, r)
 	// Arm under retMu: retireTick locks it before touching r, so the

@@ -6,6 +6,7 @@ import (
 
 	"sdrrdma/internal/core"
 	"sdrrdma/internal/fabric"
+	"sdrrdma/internal/nicsim"
 	"sdrrdma/internal/telemetry"
 )
 
@@ -74,6 +75,17 @@ func NewSessionOnCPs(pair *core.Pair, cpA, cpB *ControlPlane, relCfg Config) *Se
 	}
 }
 
+// ScratchMR registers, on the receiving side B, the parity scratch a
+// receive of size bytes under p needs (p.ScratchBytes); nil when p
+// needs none.
+func (s *Session) ScratchMR(p Protocol, size int) *nicsim.MR {
+	n := p.ScratchBytes(s.B, size)
+	if n == 0 {
+		return nil
+	}
+	return s.Pair.B.Ctx.RegMR(make([]byte, n))
+}
+
 // SetRelease registers fn to run on Close instead of tearing the
 // deployment down. The session fabric uses it so a leased session's
 // Close transparently resets and releases the pooled deployment.
@@ -96,20 +108,20 @@ func (s *Session) Abort(cause error) {
 // retires are flushed, then the pooled deployment is quarantined (not
 // re-leased) — or, unpooled, the deployment is torn down. Idempotent,
 // and mutually exclusive with Close: whichever runs first wins.
-func (s *Session) Quarantine() {
+func (s *Session) Quarantine() { s.end(s.quarantine) }
+
+// end flushes pending retires once, then runs hook — or, without one,
+// tears the deployment down.
+func (s *Session) end(hook func()) {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
 	}
 	s.A.flushRetires()
 	s.B.flushRetires()
-	if s.quarantine != nil {
-		s.quarantine()
+	if hook != nil {
+		hook()
 		return
 	}
-	s.teardown()
-}
-
-func (s *Session) teardown() {
 	s.A.CP.Close()
 	s.B.CP.Close()
 	s.Pair.Close()
@@ -129,15 +141,4 @@ func (s *Session) SetTelemetry(rec *telemetry.Recorder, nameA, nameB string) {
 // releases the session's pooled deployment or tears the deployment
 // down. Idempotent: a second Close — e.g. an abort path racing a
 // deferred Close — is a no-op rather than a double release.
-func (s *Session) Close() {
-	if !s.closed.CompareAndSwap(false, true) {
-		return
-	}
-	s.A.flushRetires()
-	s.B.flushRetires()
-	if s.release != nil {
-		s.release()
-		return
-	}
-	s.teardown()
-}
+func (s *Session) Close() { s.end(s.release) }

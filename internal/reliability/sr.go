@@ -2,241 +2,12 @@ package reliability
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"sdrrdma/internal/clock"
 	"sdrrdma/internal/core"
-	"sdrrdma/internal/ec"
 	"sdrrdma/internal/nicsim"
 	"sdrrdma/internal/telemetry"
 )
-
-// ErrGlobalTimeout is returned when an operation exceeds
-// Config.GlobalTimeout (§4.1.2's deadlock guard). It matches
-// errors.Is(err, ErrTimeout) — the typed taxonomy in abort.go.
-var ErrGlobalTimeout = fmt.Errorf("%w: global timeout exceeded", ErrTimeout)
-
-// Endpoint is one side of a reliable connection: the SDR data path
-// plus the lossy control path. Operations on a single endpoint are
-// serialized (matching the paper's sequential per-connection stages);
-// distinct endpoint pairs run concurrently.
-//
-// All waiting — RTO deadlines, poll cadences, ACK linger — goes
-// through the deployment's clock.Clock: real time by default,
-// discrete virtual time when the session was built on a
-// clock.Virtual (in which case WriteSR/ReceiveSR and the EC
-// equivalents must run in actor goroutines, via clock.Join or
-// Virtual.Go).
-type Endpoint struct {
-	QP   *core.QP
-	CP   *ControlPlane
-	Cfg  Config
-	opMu sync.Mutex
-
-	// reack answers late retransmissions into retired receive slots
-	// with a copy of the slot's final ACK (see reack.go).
-	reack reackTable
-
-	// retires tracks receives whose final-ACK linger runs in the
-	// background (see retire.go); Session.Close joins them.
-	retMu   sync.Mutex
-	retires []*pendingRetire
-
-	// scr stages per-operation working state reused across the messages
-	// of a long-lived session (chunk tracking, EC shard tables, parity
-	// slabs, the instantiated code). Guarded by opMu like the
-	// operations themselves.
-	scr opScratch
-
-	// Retransmits counts chunk resends (all causes), NacksSent the
-	// EC-mode NACK control messages, LateReAcks the re-ACK answers to
-	// late retransmissions. They count whether or not a telemetry
-	// recorder is attached; SetTelemetry registers them on one.
-	Retransmits telemetry.Counter
-	NacksSent   telemetry.Counter
-	LateReAcks  telemetry.Counter
-
-	// aborted holds the first Abort cause (abort.go); protocol loops
-	// check it once per wake and unwind with ErrAborted.
-	aborted abortState
-
-	// tel is the flight-recorder attachment (zero value = dark: every
-	// probe is a nil check and nothing else).
-	tel endpointTel
-}
-
-// endpointTel bundles an endpoint's telemetry attachment: the event
-// sink plus the direct-fed series handles (goodput and in-flight don't
-// round-trip through events — the endpoint writes the series itself).
-type endpointTel struct {
-	sink     telemetry.Sink
-	track    int32
-	goodput  *telemetry.Series
-	inflight *telemetry.Series
-}
-
-// SetTelemetry attaches the endpoint to a flight recorder under the
-// given track name (e.g. "flow0/A"): retransmits, NACKs, late re-ACKs
-// and adaptive ladder decisions become instant events; received-bytes
-// goodput and sender in-flight chunks feed bucketed series; the
-// unified counters register on rec. Call before starting operations;
-// pass nil to detach.
-func (e *Endpoint) SetTelemetry(rec *telemetry.Recorder, name string) {
-	if rec == nil {
-		e.tel = endpointTel{}
-		return
-	}
-	track := rec.Track(name)
-	e.tel = endpointTel{
-		sink:     rec,
-		track:    track,
-		goodput:  rec.NewSeries(name+" goodput_bytes", track, telemetry.SeriesSum),
-		inflight: rec.NewSeries(name+" inflight_chunks", track, telemetry.SeriesMax),
-	}
-	rec.RegisterCounter(name+" retransmits", &e.Retransmits)
-	rec.RegisterCounter(name+" nacks_sent", &e.NacksSent)
-	rec.RegisterCounter(name+" late_reacks", &e.LateReAcks)
-}
-
-// probe records one protocol event when a recorder is attached.
-func (e *Endpoint) probe(kind telemetry.EventKind, a0, a1, a2, a3 int64) {
-	if e.tel.sink == nil {
-		return
-	}
-	e.tel.sink.Event(clock.NowNanos(e.clock()), kind, e.tel.track, a0, a1, a2, a3)
-}
-
-// noteInflight feeds the sender's outstanding-chunk series.
-func (e *Endpoint) noteInflight(outstanding int) {
-	if e.tel.inflight == nil {
-		return
-	}
-	e.tel.inflight.ObserveMax(clock.NowNanos(e.clock()), int64(outstanding))
-}
-
-// noteGoodput feeds received bytes into the goodput series.
-func (e *Endpoint) noteGoodput(bytes int64) {
-	if e.tel.goodput == nil || bytes <= 0 {
-		return
-	}
-	e.tel.goodput.Add(clock.NowNanos(e.clock()), bytes)
-}
-
-// opScratch is the endpoint's pooled chunk staging: every slice here
-// would otherwise be a per-message allocation on the send/receive hot
-// path, re-made thousands of times in a line-rate run. Reuse is safe
-// because opMu serializes operations and every buffer's lifetime ends
-// with its operation (UD control sends copy payloads; parity slabs are
-// only aliased by the wire until the message completes, which the
-// operation awaits before returning).
-type opScratch struct {
-	srChunks     []chunkState
-	streams      []*core.SendStream
-	parity       [][]byte
-	paritySlab   []byte
-	parityShards [][]byte
-	dataShards   [][]byte
-	shards       [][]byte
-	present      []bool
-	presentCopy  []bool
-	subs         []ecRecvState
-	// zeroChunk is all-zero and only ever read (it stands in for the
-	// virtual zero chunks of a padded tail submessage), so reuse never
-	// re-clears it.
-	zeroChunk   []byte
-	tailScratch []byte
-
-	// One-entry erasure-code cache: RS construction builds the encode
-	// and repair matrices, far too expensive to redo per message.
-	code         ec.Code
-	codeName     string
-	codeK, codeM int
-	// codes caches the adaptive ladder's per-rung codes the same way.
-	codes map[Mode]ec.Code
-}
-
-// cachedModeCodes returns the endpoint's persistent rung→code cache
-// (codes are stateless once built, so messages share them).
-func (e *Endpoint) cachedModeCodes() map[Mode]ec.Code {
-	if e.scr.codes == nil {
-		e.scr.codes = map[Mode]ec.Code{}
-	}
-	return e.scr.codes
-}
-
-// scratchSlice returns (*s)[:n] with reused capacity, zeroing the
-// elements so stale state from the previous operation cannot leak.
-func scratchSlice[T any](s *[]T, n int) []T {
-	if cap(*s) < n {
-		*s = make([]T, n)
-	}
-	out := (*s)[:n]
-	clear(out)
-	*s = out
-	return out
-}
-
-// scratchZero returns the shared n-byte all-zero chunk.
-func (s *opScratch) scratchZero(n int) []byte {
-	if cap(s.zeroChunk) < n {
-		s.zeroChunk = make([]byte, n)
-	}
-	return s.zeroChunk[:n]
-}
-
-// scratchBytesN returns an n-byte scratch slice with undefined
-// contents (callers fully overwrite it).
-func scratchBytesN(s *[]byte, n int) []byte {
-	if cap(*s) < n {
-		*s = make([]byte, n)
-	}
-	return (*s)[:n]
-}
-
-// cachedCode returns the endpoint's erasure code for (name, k, m),
-// rebuilding only when the tuple changes.
-func (e *Endpoint) cachedCode(name string, k, m int) (ec.Code, error) {
-	s := &e.scr
-	if s.code != nil && s.codeName == name && s.codeK == k && s.codeM == m {
-		return s.code, nil
-	}
-	c := e.Cfg
-	c.Code, c.K, c.M = name, k, m
-	code, err := c.NewCode()
-	if err != nil {
-		return nil, err
-	}
-	s.code, s.codeName, s.codeK, s.codeM = code, name, k, m
-	return code, nil
-}
-
-// NewEndpoint bundles a connected SDR QP and control plane.
-func NewEndpoint(qp *core.QP, cp *ControlPlane, cfg Config) *Endpoint {
-	e := &Endpoint{QP: qp, CP: cp, Cfg: cfg.WithDefaults()}
-	if !e.Cfg.NoLateReAck {
-		qp.SetLateSink(e.handleLate)
-	}
-	return e
-}
-
-// clock returns the deployment clock.
-func (e *Endpoint) clock() clock.Clock { return e.QP.Clock() }
-
-// drain empties the control channel without blocking, invoking apply
-// on each message, and reports whether anything arrived.
-func drain(acks <-chan ctrlMsg, apply func(ctrlMsg)) bool {
-	got := false
-	for {
-		select {
-		case m := <-acks:
-			apply(m)
-			got = true
-		default:
-			return got
-		}
-	}
-}
 
 // chunkState tracks one chunk on the SR sender.
 type chunkState struct {
@@ -250,139 +21,183 @@ type chunkState struct {
 	lastSent time.Time
 }
 
+// srSender is the Selective Repeat chunk tracking of one send stream,
+// shared by WriteSR and the adaptive engine's SR segments: selective
+// ACKs mark chunks, and unacked chunks resend on their repair policy
+// or on the backoff RTO sweep.
+type srSender struct {
+	sendStream
+	chunks []chunkState
+	acked  int
+	// key seeds the RTO jitter: the stream's opID.
+	key uint64
+}
+
+// applyAck marks the chunks a cumulative+selective ACK covers.
+func (t *srSender) applyAck(m ctrlMsg) {
+	n := len(t.chunks)
+	for i := 0; i < int(m.cumAck) && i < n; i++ {
+		if !t.chunks[i].acked {
+			t.chunks[i].acked = true
+			t.acked++
+		}
+	}
+	// Selective portion: bitmap over all chunks (§4.1.1 sends it from
+	// the cumulative frontier; we snapshot from zero, which carries the
+	// same information).
+	for i := 0; i < n && i/8 < len(m.sack); i++ {
+		if m.sack[i/8]&(1<<uint(i%8)) != 0 && !t.chunks[i].acked {
+			t.chunks[i].acked = true
+			t.acked++
+		}
+	}
+}
+
+// frontier returns the highest acked chunk (-1 when none is).
+func (t *srSender) frontier() int {
+	for i := len(t.chunks) - 1; i >= 0; i-- {
+		if t.chunks[i].acked {
+			return i
+		}
+	}
+	return -1
+}
+
+// resend re-injects chunk c and restarts its timer.
+func (t *srSender) resend(e *Endpoint, c int, cause int64) error {
+	t.chunks[c].lastSent = e.clock().Now()
+	return e.resend(t.sendStream, c, cause)
+}
+
+// rtoSweep resends every unacked chunk whose retransmission timeout
+// expired by now. The per-chunk deadline backs off exponentially per
+// attempt with a deterministic jitter (retryRTO), so a dead stretch of
+// network does not grind out fixed-cadence retransmission storms.
+func (t *srSender) rtoSweep(e *Endpoint, now time.Time, rto time.Duration) error {
+	for i := range t.chunks {
+		c := &t.chunks[i]
+		if c.acked || now.Sub(c.lastSent) < retryRTO(rto, c.retries, t.key<<16+uint64(i)) {
+			continue
+		}
+		if c.retries < maxBackoffShift {
+			c.retries++
+		}
+		if err := t.resend(e, i, telemetry.CauseRTO); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// startSR opens one SR stream over data and injects it whole, idx
+// naming the segment (0 for a whole message) in events and errors.
+// The stream's opID claims its control channel before the first packet
+// leaves, so no ACK can arrive unrouted; the caller unregisters it.
+func (e *Endpoint) startSR(what string, idx int, data []byte, chunks []chunkState) (srSender, chan ctrlMsg, error) {
+	st, err := e.QP.SendStreamStartTimeout(len(data), 0, e.Cfg.GlobalTimeout)
+	if err != nil {
+		return srSender{}, nil, startErr(fmt.Sprintf("%s %d stream", what, idx), err)
+	}
+	t := srSender{sendStream: sendStream{st: st, data: data, idx: int64(idx)}, chunks: chunks, key: st.Seq()}
+	acks := e.CP.register(t.key)
+	if err := st.Continue(0, data); err != nil {
+		e.CP.unregister(t.key)
+		return srSender{}, nil, err
+	}
+	now := e.clock().Now()
+	for i := range chunks {
+		chunks[i].lastSent = now
+	}
+	return t, acks, nil
+}
+
+// srAck builds the cumulative+selective ACK of h's chunk bitmap,
+// snapshotting into sack's storage.
+func srAck(h *core.RecvHandle, sack []byte) ctrlMsg {
+	bm := h.Bitmap()
+	return ctrlMsg{
+		typ:    msgSRAck,
+		opID:   h.Seq(),
+		cumAck: uint32(bm.CumulativeCount()),
+		sack:   bm.Snapshot(sack),
+	}
+}
+
 // WriteSR reliably writes data using Selective Repeat (§4.1.1):
 // streaming SDR send for the initial injection, per-chunk RTO
-// retransmission, cumulative+selective ACKs from the receiver, and —
-// in NACK mode — fast retransmission of holes behind the ACK frontier
-// after ~1 RTT.
-func (e *Endpoint) WriteSR(data []byte) error {
+// retransmission and cumulative+selective ACKs from the receiver.
+// ProtoSRNACK adds fast retransmission of holes behind the ACK
+// frontier after ~1 RTT.
+func (e *Endpoint) WriteSR(data []byte) error { return e.writeSR(data, false) }
+
+func (e *Endpoint) writeSR(data []byte, nack bool) error {
 	e.opMu.Lock()
 	defer e.opMu.Unlock()
 	cfg := e.Cfg
 	clk := e.clock()
 
-	stream, err := e.QP.SendStreamStartTimeout(len(data), 0, cfg.GlobalTimeout)
-	if err != nil {
-		return startErr("SR stream start", err)
-	}
-	opID := stream.Seq()
-	acks := e.CP.register(opID)
-	defer e.CP.unregister(opID)
-
 	chunkBytes := e.QP.Config().ChunkBytes
 	nchunks := (len(data) + chunkBytes - 1) / chunkBytes
-	chunks := scratchSlice(&e.scr.srChunks, nchunks)
-
-	// Initial injection of the whole message.
-	if err := stream.Continue(0, data); err != nil {
+	t, acks, err := e.startSR("SR message", 0, data, scratchSlice(&e.scr.srChunks, nchunks))
+	if err != nil {
 		return err
 	}
+	defer e.CP.unregister(t.key)
 	now := clk.Now()
-	for i := range chunks {
-		chunks[i].lastSent = now
-	}
-
-	resend := func(chunk int, cause int64) error {
-		lo := chunk * chunkBytes
-		hi := lo + chunkBytes
-		if hi > len(data) {
-			hi = len(data)
+	applyAck := func(m ctrlMsg) error {
+		if m.typ == msgSRAck {
+			t.applyAck(m)
 		}
-		chunks[chunk].lastSent = clk.Now()
-		e.Retransmits.Add(1)
-		e.probe(telemetry.EvRetransmit, int64(chunk), cause, 0, 0)
-		return stream.Continue(lo, data[lo:hi])
-	}
-
-	ackedCount := 0
-	applyAck := func(m ctrlMsg) {
-		if m.typ != msgSRAck {
-			return
-		}
-		for i := 0; i < int(m.cumAck) && i < nchunks; i++ {
-			if !chunks[i].acked {
-				chunks[i].acked = true
-				ackedCount++
-			}
-		}
-		// Selective portion: bitmap over all chunks (§4.1.1 sends it
-		// from the cumulative frontier; we snapshot from zero, which
-		// carries the same information).
-		for i := 0; i < nchunks && i/8 < len(m.sack); i++ {
-			if m.sack[i/8]&(1<<uint(i%8)) != 0 && !chunks[i].acked {
-				chunks[i].acked = true
-				ackedCount++
-			}
-		}
+		return nil
 	}
 
 	rto := cfg.RTO()
 	nackDelay := cfg.RTT // NACK-mode hole resend delay (§5.1.1: 1 RTT)
 	deadline := now.Add(cfg.GlobalTimeout)
 
-	for ackedCount < nchunks {
+	for t.acked < nchunks {
 		// Snapshot BEFORE draining: an ACK that lands after the drain
 		// wakes the wait below immediately (no lost wakeup).
 		epoch := clk.Epoch()
 		if err := e.abortErr(); err != nil {
 			return fmt.Errorf("SR write %d B: %w", len(data), err)
 		}
-		progressed := drain(acks, applyAck)
-		if ackedCount >= nchunks {
+		progressed, _ := drain(acks, applyAck) // applyAck never fails
+		if t.acked >= nchunks {
 			break
 		}
 		now = clk.Now()
 		if now.After(deadline) {
 			return fmt.Errorf("%w: SR write %d B, %d/%d chunks acked",
-				ErrGlobalTimeout, len(data), ackedCount, nchunks)
+				ErrGlobalTimeout, len(data), t.acked, nchunks)
 		}
-		if cfg.NACK && progressed {
+		if nack && progressed {
 			// Fast retransmit: a hole is an unacked chunk below the
 			// highest acked chunk — the receiver has seen past it, so
 			// it was dropped, not merely in flight.
-			frontier := -1
-			for i := nchunks - 1; i >= 0; i-- {
-				if chunks[i].acked {
-					frontier = i
-					break
-				}
-			}
+			frontier := t.frontier()
 			for i := 0; i < frontier; i++ {
-				if !chunks[i].acked && now.Sub(chunks[i].lastSent) >= nackDelay {
-					if err := resend(i, telemetry.CauseHole); err != nil {
+				if !t.chunks[i].acked && now.Sub(t.chunks[i].lastSent) >= nackDelay {
+					if err := t.resend(e, i, telemetry.CauseHole); err != nil {
 						return err
 					}
 				}
 			}
 		}
-		// Per-chunk RTO retransmission (checked on every wake). The
-		// deadline backs off exponentially per attempt with a
-		// deterministic jitter (retryRTO), so a dead stretch of network
-		// does not grind out fixed-cadence retransmission storms.
-		for i := range chunks {
-			if chunks[i].acked {
-				continue
-			}
-			if now.Sub(chunks[i].lastSent) >= retryRTO(rto, chunks[i].retries, opID<<16+uint64(i)) {
-				if chunks[i].retries < maxBackoffShift {
-					chunks[i].retries++
-				}
-				if err := resend(i, telemetry.CauseRTO); err != nil {
-					return err
-				}
-			}
+		// Per-chunk RTO retransmission (checked on every wake).
+		if err := t.rtoSweep(e, now, rto); err != nil {
+			return err
 		}
-		e.noteInflight(nchunks - ackedCount)
+		e.noteInflight(nchunks - t.acked)
 		clk.WaitNotify(epoch, cfg.PollInterval)
 	}
-	return stream.End()
+	return t.st.End()
 }
 
 // ReceiveSR receives one reliable SR Write into mr[offset:offset+size].
 // It polls the SDR chunk bitmap (§3.1.1) and reports progress through
-// cumulative+selective ACKs until the message completes, then lingers
-// re-ACKing before retiring the slot (ACKs ride the lossy control
-// path).
+// cumulative+selective ACKs until the message completes, then finishes
+// (final ACK, background linger and retire; see retire.go).
 func (e *Endpoint) ReceiveSR(mr *nicsim.MR, offset uint64, size int) error {
 	e.opMu.Lock()
 	defer e.opMu.Unlock()
@@ -393,36 +208,20 @@ func (e *Endpoint) ReceiveSR(mr *nicsim.MR, offset uint64, size int) error {
 	if err != nil {
 		return fmt.Errorf("reliability: SR recv post: %w", err)
 	}
-	opID := h.Seq()
 
-	// The selective-ACK bitmap buffer is reused across ticks: CP.send
-	// serializes the payload before returning, so the snapshot can be
-	// overwritten by the next poll without racing the wire.
-	var sackBuf []byte
 	// goodput is fed from the cumulative frontier's byte watermark, so
 	// the series integrates to exactly the message size.
 	lastCumBytes := int64(0)
 	chunkBytes := int64(e.QP.Config().ChunkBytes)
-	feedGoodput := func(cum int) {
-		b := int64(cum) * chunkBytes
-		if b > int64(size) {
-			b = int64(size)
-		}
+	feedGoodput := func(cum uint32) {
+		b := min(int64(cum)*chunkBytes, int64(size))
 		e.noteGoodput(b - lastCumBytes)
 		lastCumBytes = b
 	}
-	sendAck := func() {
-		bm := h.Bitmap()
-		sackBuf = bm.Snapshot(sackBuf)
-		cum := bm.CumulativeCount()
-		feedGoodput(cum)
-		e.CP.send(ctrlMsg{
-			typ:    msgSRAck,
-			opID:   opID,
-			cumAck: uint32(cum),
-			sack:   sackBuf,
-		})
-	}
+	// The selective-ACK bitmap buffer is reused across ticks: CP.send
+	// serializes the payload before returning, so the snapshot can be
+	// overwritten by the next poll without racing the wire.
+	var sackBuf []byte
 
 	start := clk.Now()
 	deadline := start.Add(cfg.GlobalTimeout)
@@ -435,50 +234,23 @@ func (e *Endpoint) ReceiveSR(mr *nicsim.MR, offset uint64, size int) error {
 		if h.Done() {
 			break
 		}
-		if err := e.abortErr(); err != nil {
-			h.Complete()
-			return fmt.Errorf("SR receive %d B: %w", size, err)
-		}
 		now := clk.Now()
-		if now.After(deadline) {
-			h.Complete()
-			return fmt.Errorf("%w: SR receive %d B, %d/%d chunks",
-				ErrGlobalTimeout, size, h.Bitmap().Count(), h.NumChunks())
+		if err := e.stopErr(now, deadline); err != nil {
+			abandon(h)
+			return fmt.Errorf("SR receive %d B, %d/%d chunks: %w",
+				size, h.Bitmap().Count(), h.NumChunks(), err)
 		}
 		if !now.Before(nextAck) {
-			sendAck()
+			ack := srAck(h, sackBuf)
+			sackBuf = ack.sack
+			feedGoodput(ack.cumAck)
+			e.CP.send(ack)
 			nextAck = now.Add(cfg.AckInterval)
 		}
 		clk.WaitNotify(epoch, nextAck.Sub(now))
 	}
-	// Completion: the final ACK goes out at the completion instant; the
-	// linger — re-sending it so a lost ACK cannot strand the sender —
-	// runs in the background (retire.go), so the caller can post its
-	// next receive immediately instead of paying the linger on the
-	// collective critical path. The slot stays live until the linger
-	// elapses; once retired, the re-ACK table answers any still-later
-	// retransmission with a fresh copy of this final ACK.
-	bm := h.Bitmap()
-	feedGoodput(bm.CumulativeCount())
-	final := ctrlMsg{
-		typ:    msgSRAck,
-		opID:   opID,
-		cumAck: uint32(bm.CumulativeCount()),
-		sack:   bm.Snapshot(nil),
-	}
-	e.CP.send(final)
-	if cfg.SyncRetire {
-		lingerEnd := clk.Now().Add(cfg.Linger)
-		for {
-			clk.Sleep(cfg.AckInterval)
-			if !clk.Now().Before(lingerEnd) {
-				break
-			}
-			e.CP.send(final)
-		}
-		e.rememberRetired(final, h)
-		return h.Complete()
-	}
-	e.retire(final, h)
+	final := srAck(h, nil)
+	feedGoodput(final.cumAck)
+	e.finish(final, h)
 	return nil
 }

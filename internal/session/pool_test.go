@@ -24,7 +24,7 @@ func poolCoreCfg(clk clock.Clock) core.Config {
 
 func poolRelCfg() reliability.Config {
 	return reliability.Config{
-		RTT: 2 * time.Millisecond, Alpha: 2, NACK: true,
+		RTT: 2 * time.Millisecond, Alpha: 2,
 		PollInterval: 250 * time.Microsecond,
 		AckInterval:  500 * time.Microsecond,
 		Linger:       2 * time.Millisecond,
@@ -47,7 +47,7 @@ func runLeaseTransfer(t *testing.T, vc *clock.Virtual, s *reliability.Session, s
 	start := vc.Elapsed()
 	var sendErr, recvErr error
 	clock.Join(vc,
-		func() { sendErr = s.A.WriteSR(data) },
+		func() { sendErr = reliability.ProtoSRNACK.Write(s.A, data) },
 		func() { recvErr = s.B.ReceiveSR(mr, 0, size) },
 	)
 	if sendErr != nil || recvErr != nil {
@@ -250,7 +250,7 @@ func TestConcurrentLeaseChurnRaces(t *testing.T) {
 				mr := s.Pair.B.Ctx.RegMR(make([]byte, size))
 				var sendErr, recvErr error
 				clock.Join(clk,
-					func() { sendErr = s.A.WriteSR(data) },
+					func() { sendErr = reliability.ProtoSRNACK.Write(s.A, data) },
 					func() { recvErr = s.B.ReceiveSR(mr, 0, size) },
 				)
 				s.Close()
@@ -326,7 +326,7 @@ func TestQuarantineRetiresLease(t *testing.T) {
 	var sendErr error
 	data := make([]byte, 256<<10)
 	clock.Join(vc,
-		func() { sendErr = s.A.WriteSR(data) },
+		func() { sendErr = reliability.ProtoSRNACK.Write(s.A, data) },
 		func() { vc.Sleep(500 * time.Microsecond); s.Abort(cause) },
 	)
 	if sendErr == nil {
